@@ -1,7 +1,7 @@
 // Kernel-level ablation microbenchmarks (google-benchmark) for the design
 // choices Section 3.3 argues for:
 //   * binary-search vs merge set intersection (the paper picked binary
-//     search after finding merge slower)
+//     search after finding merge slower), and the pipeline's indexed one
 //   * sparse vs dense accumulator across output-tile densities (the basis
 //     of the tnnz = 192 threshold)
 //   * end-to-end sensitivity of TileSpGEMM to the tnnz threshold
@@ -12,6 +12,7 @@
 // `--regress` (see regress_harness.h) to emit/compare BENCH_baseline.json.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string_view>
 #include <vector>
@@ -60,26 +61,56 @@ struct IntersectFixture {
   }
 };
 
-void BM_Intersect(benchmark::State& state, IntersectMethod method) {
-  const IntersectFixture fx(static_cast<index_t>(state.range(0)),
-                            static_cast<index_t>(state.range(1)), 0.3);
+/// (len_a, len_b) = (range(0), range(1)) list pair with 30% overlap.
+IntersectFixture intersect_fixture(const benchmark::State& state) {
+  return IntersectFixture(static_cast<index_t>(state.range(0)),
+                          static_cast<index_t>(state.range(1)), 0.3);
+}
+
+template <class Fn>
+void time_intersect(benchmark::State& state, const IntersectFixture& fx, Fn&& intersect) {
   std::vector<MatchedPair> out;
   for (auto _ : state) {
     out.clear();
-    intersect_tiles(fx.a_cols.data(), 0, static_cast<index_t>(fx.a_cols.size()),
-                    fx.b_rows.data(), fx.b_ids.data(),
-                    static_cast<index_t>(fx.b_rows.size()), method, out);
+    intersect(out);
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(fx.a_cols.size() + fx.b_rows.size()));
 }
 
-void BM_IntersectBinary(benchmark::State& s) { BM_Intersect(s, IntersectMethod::kBinarySearch); }
-void BM_IntersectMerge(benchmark::State& s) { BM_Intersect(s, IntersectMethod::kMerge); }
+void BM_IntersectReference(benchmark::State& state, IntersectMethod method) {
+  const IntersectFixture fx = intersect_fixture(state);
+  time_intersect(state, fx, [&](std::vector<MatchedPair>& out) {
+    intersect_tiles(fx.a_cols.data(), 0, static_cast<index_t>(fx.a_cols.size()),
+                    fx.b_rows.data(), fx.b_ids.data(), static_cast<index_t>(fx.b_rows.size()),
+                    method, out);
+  });
+}
+
+void BM_IntersectBinary(benchmark::State& s) {
+  BM_IntersectReference(s, IntersectMethod::kBinarySearch);
+}
+void BM_IntersectMerge(benchmark::State& s) { BM_IntersectReference(s, IntersectMethod::kMerge); }
+
+/// The pipeline's routine with A's row already bound: the steady state of a
+/// tile-row-ordered visit, where one bind serves every B column of the row
+/// (the 4x1024 shape takes its binary-search branch).
+void BM_IntersectIndexed(benchmark::State& state) {
+  const IntersectFixture fx = intersect_fixture(state);
+  TileRowIndex index;
+  index.reset(std::max(fx.a_cols.back(), fx.b_rows.back()) + 1);
+  time_intersect(state, fx, [&](std::vector<MatchedPair>& out) {
+    index.intersect(0, fx.a_cols.data(), 0, static_cast<index_t>(fx.a_cols.size()),
+                    fx.b_rows.data(), fx.b_ids.data(), static_cast<index_t>(fx.b_rows.size()),
+                    out);
+  });
+}
 
 BENCHMARK(BM_IntersectBinary)->Args({8, 256})->Args({32, 32})->Args({4, 1024});
 BENCHMARK(BM_IntersectMerge)->Args({8, 256})->Args({32, 32})->Args({4, 1024});
+BENCHMARK(BM_IntersectIndexed)->Args({8, 256})->Args({32, 32})->Args({4, 1024});
 
 // ------------------------------------------------------------ accumulator --
 

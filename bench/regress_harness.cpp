@@ -84,6 +84,10 @@ std::vector<SuiteCase> make_suite(double scale) {
   suite.push_back({"clustered", gen::clustered_rows(scaled(scale, 1536, 128), 4, 10, 9104)});
   suite.push_back({"rmat", gen::rmat(scale >= 1.0 ? 11 : 9, 8.0, 9105)});
   suite.push_back({"stencil9", gen::stencil_9pt(scaled(scale, 64, 8), scaled(scale, 64, 8))});
+  // Two-tile A rows against a B tile column as long as the matrix: times
+  // the indexed intersection's binary-search branch, whose loss would turn
+  // each C tile of column 0 into a walk of the whole column.
+  suite.push_back({"col_diag", gen::column_plus_diagonal(scaled(scale, 64000, 256), 9106)});
   return suite;
 }
 

@@ -17,6 +17,7 @@
 #   obs_overhead  tracing disabled-overhead gate on the Fig. 10 bench (PR 3)
 #   bench_regress bench-regression gate vs BENCH_baseline.json (PR 5)
 #   simd          kernel A/B suites under every forced TSG_SIMD level (ISSUE 10)
+#   perfbench     one-second run of every end-to-end benchmark workload
 #
 # Environment knobs:
 #   TSG_CTEST_ARGS       extra arguments appended to the full-suite ctest runs
@@ -303,21 +304,37 @@ stage_simd() {
   done
 }
 
+stage_perfbench() {
+  echo "=== perfbench: one-second run of every end-to-end benchmark workload ==="
+  # perfbench/run.py checks every op's output bit for bit against the result
+  # it verified at set-up and exits nonzero on any mismatch, so a wrong
+  # result fails here on every change instead of only in a full 30 s
+  # benchmark run. The timings of so short a run mean nothing and are not
+  # gated.
+  local w
+  for w in fem_blocks graph_sparse service_mix; do
+    echo "--- ${w} ---"
+    python3 perfbench/run.py --workload "${w}" --seed 1 --seconds 1 --trace 0
+  done
+}
+
 usage() {
   echo "usage: scripts/check.sh [stage...]"
   echo "stages: hygiene lint asan regular tsan service chaos obs_overhead bench_regress simd"
+  echo "        perfbench"
   echo "default order: all of the above"
 }
 
 main() {
   local stages=("$@")
   if [ "${#stages[@]}" -eq 0 ]; then
-    stages=(hygiene lint asan regular tsan service chaos obs_overhead bench_regress simd)
+    stages=(hygiene lint asan regular tsan service chaos obs_overhead bench_regress simd
+            perfbench)
   fi
   local s
   for s in "${stages[@]}"; do
     case "${s}" in
-      hygiene|lint|asan|regular|tsan|service|chaos|obs_overhead|bench_regress|simd)
+      hygiene|lint|asan|regular|tsan|service|chaos|obs_overhead|bench_regress|simd|perfbench)
         "stage_${s}"
         ;;
       help|-h|--help)

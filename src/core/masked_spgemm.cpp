@@ -100,6 +100,10 @@ TileMatrix<T> SpgemmContext::run_masked_impl(const TileMatrix<T>& a, const TileM
   SpgemmWorkspace<T>& ws = workspace<T>();
   ws.ensure_threads(max_workers());
   ws.begin_call();
+  // Arm this call's cancellation token, as run_impl does (begin_call just
+  // cleared the previous one), and refuse work already past its deadline.
+  ws.cancel = cancel_;
+  check_cancelled();
   tile_layout_csc(b, ws.b_csc);
   const TileLayoutCsc& b_csc = ws.b_csc;
 
@@ -124,6 +128,7 @@ TileMatrix<T> SpgemmContext::run_masked_impl(const TileMatrix<T>& a, const TileM
   }
 
   // Step 2 (masked): symbolic per tile, masks ANDed with M's.
+  ws.reset_row_index(a.tile_cols);
   parallel_for(offset_t{0}, ntiles, [&](offset_t t) {
     // Cooperative cancellation every 64th tile (see step2.cpp). A tripped
     // token skips the tile — its mask row and tile_nnz stay 0, and the
@@ -134,16 +139,8 @@ TileMatrix<T> SpgemmContext::run_masked_impl(const TileMatrix<T>& a, const TileM
     }
     const index_t tile_i = tile_row_idx[static_cast<std::size_t>(t)];
     const index_t tile_j = c.tile_col_idx[static_cast<std::size_t>(t)];
-
-    std::vector<MatchedPair>& pairs = ws.slot(worker_rank()).pairs;
-    pairs.clear();
-    const offset_t a_base = a.tile_ptr[tile_i];
-    const index_t len_a = static_cast<index_t>(a.tile_ptr[tile_i + 1] - a_base);
-    const offset_t b_base = b_csc.col_ptr[tile_j];
-    const index_t len_b = static_cast<index_t>(b_csc.col_ptr[tile_j + 1] - b_base);
-    intersect_tiles(a.tile_col_idx.data() + a_base, a_base, len_a,
-                    b_csc.row_idx.data() + b_base, b_csc.tile_id.data() + b_base, len_b,
-                    options.intersect, pairs);
+    const std::vector<MatchedPair>& pairs =
+        ws.slot(worker_rank()).match(a, b_csc, tile_i, tile_j);
 
     rowmask_t mask_c[kTileDim] = {};
     for (const MatchedPair& p : pairs) {
@@ -166,6 +163,10 @@ TileMatrix<T> SpgemmContext::run_masked_impl(const TileMatrix<T>& a, const TileM
     }
     c.tile_nnz[static_cast<std::size_t>(t) + 1] = count;
   });
+  // Stage boundary: a tile skipped by a tripped token left a hole in the
+  // symbolic result — bail out before C is allocated from it.
+  cancel_.note_progress();
+  check_cancelled();
   for (offset_t t = 0; t < ntiles; ++t) {
     c.tile_nnz[static_cast<std::size_t>(t) + 1] += c.tile_nnz[static_cast<std::size_t>(t)];
   }
@@ -179,9 +180,10 @@ TileMatrix<T> SpgemmContext::run_masked_impl(const TileMatrix<T>& a, const TileM
   // numeric table (exact-store contract, safe against C's shared arrays);
   // the masked accumulator itself has no vector variant.
   const simd::NumericOps& nops = simd::numeric_ops(effective_simd_level(options));
+  ws.reset_row_index(a.tile_cols);
   parallel_for(offset_t{0}, ntiles, [&](offset_t t) {
     // Same strided poll as the symbolic pass: a cancelled run leaves the
-    // tile's values zero, which the caller discards with the run.
+    // tile's values zero, and the check after the pass discards the run.
     if ((t & 63) == 0) {
       ws.cancel.note_progress();
       if (ws.cancel.should_stop()) return;
@@ -197,16 +199,8 @@ TileMatrix<T> SpgemmContext::run_masked_impl(const TileMatrix<T>& a, const TileM
     nops.materialize(mask_c, c.row_idx.data() + nz_base, c.col_idx.data() + nz_base);
     if (nnz_c == 0) return;
 
-    std::vector<MatchedPair>& pairs = ws.slot(worker_rank()).pairs;
-    pairs.clear();
-    const offset_t a_base = a.tile_ptr[tile_i];
-    const index_t len_a = static_cast<index_t>(a.tile_ptr[tile_i + 1] - a_base);
-    const offset_t b_base = b_csc.col_ptr[tile_j];
-    const index_t len_b = static_cast<index_t>(b_csc.col_ptr[tile_j + 1] - b_base);
-    intersect_tiles(a.tile_col_idx.data() + a_base, a_base, len_a,
-                    b_csc.row_idx.data() + b_base, b_csc.tile_id.data() + b_base, len_b,
-                    options.intersect, pairs);
-
+    const std::vector<MatchedPair>& pairs =
+        ws.slot(worker_rank()).match(a, b_csc, tile_i, tile_j);
     T slots[kTileNnzMax];
     for (index_t k = 0; k < nnz_c; ++k) slots[k] = T{};
     accumulate_sparse_masked(a, b, pairs, mask_c, row_ptr_c, slots);
@@ -214,6 +208,9 @@ TileMatrix<T> SpgemmContext::run_masked_impl(const TileMatrix<T>& a, const TileM
       c.val[static_cast<std::size_t>(nz_base + k)] = slots[k];
     }
   });
+  // Stage boundary: values of skipped tiles were never written.
+  cancel_.note_progress();
+  check_cancelled();
   return c;
 }
 

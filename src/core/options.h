@@ -8,14 +8,6 @@
 
 namespace tsg {
 
-/// How step 2/3 compute the set intersection of a tile row of A with a tile
-/// column of B. The paper found binary search of the shorter list into the
-/// longer one faster than the classic two-pointer merge (Section 3.3).
-enum class IntersectMethod {
-  kBinarySearch,
-  kMerge,
-};
-
 /// How step 2 turns the matched pairs into C's tile masks / row pointers.
 enum class SymbolicKernel {
   /// Word-packed (default): drive the mask OR phase from A's row masks and
@@ -36,7 +28,6 @@ enum class AccumulatorPolicy {
 };
 
 struct TileSpgemmOptions {
-  IntersectMethod intersect = IntersectMethod::kBinarySearch;
   SymbolicKernel symbolic = SymbolicKernel::kWordPacked;
   AccumulatorPolicy accumulator = AccumulatorPolicy::kAdaptive;
   /// Dense-accumulator threshold; the paper uses 192 (75% of 256).

@@ -40,15 +40,25 @@ TileMatrix<T> tile_spgemm_semiring(SpgemmContext& ctx, const TileMatrix<T>& a,
   SpgemmWorkspace<T>& ws = ctx.workspace<T>();
   ws.ensure_threads(max_workers());
   ws.begin_call();
+  // Structural symbolic pass only — the semiring numeric below re-runs the
+  // intersection, so the plan requests neither caching nor fusion (fused
+  // values would be plus-times, not the semiring's combine/reduce). It
+  // carries the context's cancellation token, armed for step 1 too as
+  // run_impl does (begin_call just cleared the previous one).
+  ExecutionPlan plan;
+  plan.cancel = ctx.cancel_token();
+  ws.cancel = plan.cancel;
+  ctx.check_cancelled();
 
   tile_layout_csc(b, ws.b_csc);
   const TileLayoutCsc& b_csc = ws.b_csc;
   step1_tile_structure(a, b, ws, ws.structure);
   const TileStructure& structure = ws.structure;
-  // Structural symbolic pass only — the semiring numeric below re-runs the
-  // intersection, so the plan requests neither caching nor fusion (fused
-  // values would be plus-times, not the semiring's combine/reduce).
-  Step2Result symbolic = step2_symbolic(a, b, b_csc, structure, options, ws, ExecutionPlan{});
+  Step2Result symbolic = step2_symbolic(a, b, b_csc, structure, options, ws, plan);
+  // Stage boundary: tiles skipped by a tripped token left holes in the
+  // symbolic result — bail out before C is allocated from it.
+  plan.cancel.note_progress();
+  ctx.check_cancelled();
 
   TileMatrix<T> c(a.rows, b.cols);
   c.tile_rows = structure.tile_rows;
@@ -68,6 +78,7 @@ TileMatrix<T> tile_spgemm_semiring(SpgemmContext& ctx, const TileMatrix<T>& a,
   // semiring combine/reduce loop itself stays scalar — reassociating a
   // user-supplied reduce is not the dispatch family's call to make.
   const simd::NumericOps& nops = simd::numeric_ops(effective_simd_level(options));
+  ws.reset_row_index(a.tile_cols);
   parallel_for(offset_t{0}, ntiles, [&](offset_t t) {
     // Cooperative cancellation every 64th tile (see step2.cpp): the numeric
     // semiring pass is the long phase here, and cancellation latency must
@@ -87,16 +98,8 @@ TileMatrix<T> tile_spgemm_semiring(SpgemmContext& ctx, const TileMatrix<T>& a,
     nops.materialize(mask_c, c.row_idx.data() + nz_base, c.col_idx.data() + nz_base);
     if (nnz_c == 0) return;
 
-    std::vector<MatchedPair>& pairs = ws.slot(worker_rank()).pairs;
-    pairs.clear();
-    const offset_t a_base = a.tile_ptr[tile_i];
-    const index_t len_a = static_cast<index_t>(a.tile_ptr[tile_i + 1] - a_base);
-    const offset_t b_base = b_csc.col_ptr[tile_j];
-    const index_t len_b = static_cast<index_t>(b_csc.col_ptr[tile_j + 1] - b_base);
-    intersect_tiles(a.tile_col_idx.data() + a_base, a_base, len_a,
-                    b_csc.row_idx.data() + b_base, b_csc.tile_id.data() + b_base, len_b,
-                    options.intersect, pairs);
-
+    const std::vector<MatchedPair>& pairs =
+        ws.slot(worker_rank()).match(a, b_csc, tile_i, tile_j);
     T slots[kTileNnzMax];
     for (index_t k = 0; k < nnz_c; ++k) slots[k] = Semiring::identity();
     for (const MatchedPair& p : pairs) {
@@ -122,6 +125,9 @@ TileMatrix<T> tile_spgemm_semiring(SpgemmContext& ctx, const TileMatrix<T>& a,
       c.val[static_cast<std::size_t>(nz_base + k)] = slots[k];
     }
   });
+  // Stage boundary: values of skipped tiles were never written.
+  plan.cancel.note_progress();
+  ctx.check_cancelled();
   return c;
 }
 

@@ -62,9 +62,9 @@ void publish_run_metrics(const TileSpgemmTimings& tm) {
 }
 
 /// Cost bin of one C tile. The estimated intersection work is the sum of
-/// the two list lengths (both the binary-search and merge intersections
-/// are linear-ish in it), which also bounds the number of matched pairs
-/// the numeric phase accumulates.
+/// the two list lengths (the indexed walk is linear in B's list plus one
+/// bind of A's, and the search branch is cheaper still), which also bounds
+/// the number of matched pairs the numeric phase accumulates.
 int bin_of(offset_t cost) {
   if (cost <= 8) return 0;
   if (cost <= 32) return 1;
@@ -410,6 +410,9 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
   // recompute policy holds zero global intermediate state), then chunk.
   bool cache_pairs = cfg_.options.cache_pairs;
   bool fuse_light = cfg_.fuse_light_tiles && cache_pairs;
+  // Size the per-thread A tile-row indexes now (steps 2/3 only re-unbind
+  // them), so the fixed share plan_budget reads from ws.bytes() counts them.
+  ws.reset_row_index(a.tile_cols);
   BudgetPlan budget;
   {
     ScopedAccumulator scope(tm.plan_ms);

@@ -64,8 +64,8 @@ class SpgemmContext {
   ///                           .with_pair_cache(true)
   ///                           .with_fused_path(true));
   struct Config {
-    /// Kernel options (intersection method, accumulator policy, tnnz,
-    /// pair caching) — defaults follow the paper.
+    /// Kernel options (symbolic kernel, accumulator policy, tnnz, pair
+    /// caching, SIMD level) — defaults follow the paper.
     TileSpgemmOptions options{};
     /// Worker threads for this context's runs; 0 keeps the library-wide
     /// setting (set_num_threads / OMP_NUM_THREADS).
@@ -128,7 +128,6 @@ class SpgemmContext {
     CancelToken cancel_token;
 
     Config& with_options(const TileSpgemmOptions& o) { options = o; return *this; }
-    Config& with_intersect(IntersectMethod m) { options.intersect = m; return *this; }
     Config& with_accumulator(AccumulatorPolicy p) { options.accumulator = p; return *this; }
     Config& with_tnnz(index_t t) { options.tnnz = t; return *this; }
     Config& with_pair_cache(bool on) { options.cache_pairs = on; return *this; }
@@ -183,6 +182,14 @@ class SpgemmContext {
   /// balanced, and the context stays reusable.
   void set_cancel_token(CancelToken t) { cancel_ = std::move(t); }
   const CancelToken& cancel_token() const { return cancel_; }
+
+  /// Raise kCancelled/kDeadlineExceeded when the active token tripped —
+  /// the serial pipeline layer's check at stage boundaries (parallel
+  /// bodies only skip). Public for kernel extensions (semiring header)
+  /// that drive the steps themselves.
+  void check_cancelled() const {
+    if (cancel_.should_stop()) throw Error(cancel_.to_status());
+  }
 
   /// C = A * B on tile-format operands. Timings carry the per-step
   /// breakdown plus bin/fusion counters, the pooled-workspace footprint,
@@ -275,12 +282,6 @@ class SpgemmContext {
   template <class T>
   TileMatrix<T> run_masked_impl(const TileMatrix<T>& a, const TileMatrix<T>& b,
                                 const TileMatrix<T>& mask);
-
-  /// Raise kCancelled/kDeadlineExceeded when the active token tripped —
-  /// the serial pipeline layer's check (parallel bodies only skip).
-  void check_cancelled() const {
-    if (cancel_.should_stop()) throw Error(cancel_.to_status());
-  }
 
   Config cfg_;
   CancelToken cancel_;

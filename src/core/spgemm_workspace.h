@@ -3,9 +3,9 @@
 // Every tile_spgemm() call needs the same family of scratch buffers: the
 // column-major view of B's tile layout, the symbolic tile structure of C,
 // step 1's per-tile-row column lists, the cost/schedule arrays of the
-// binned scheduler, and per-thread buffers (intersection scratch, pair
-// cache, staged fused values, the stamped tile set). On the GPU all of
-// this is either on-chip or allocated once per launch; on the CPU the
+// binned scheduler, and per-thread buffers (intersection scratch, A tile-row
+// index, pair cache, staged fused values, the stamped tile set). On the GPU
+// all of this is either on-chip or allocated once per launch; on the CPU the
 // repeated malloc/free of these buffers dominates the iterated workloads
 // (AMG Galerkin chains, Markov clustering). SpgemmWorkspace owns all of
 // them with capacity-preserving reuse: a SpgemmContext keeps one instance
@@ -150,10 +150,27 @@ struct SpgemmWorkspace {
     tracked_vector<MatchedPair> cache;  ///< matched pairs kept for step 3
     tracked_vector<T> staged;           ///< fused-path values staged in step 2
     detail::StampedTileSet sym;         ///< step-1 stamped column set
+    TileRowIndex row_index;             ///< index of the A tile row last matched
+
+    /// Matched (A_ik, B_kj) pairs of C tile (tile_i, tile_j), in ascending
+    /// k, left in `pairs`. The loop around it must have called
+    /// SpgemmWorkspace::reset_row_index for this A.
+    const std::vector<MatchedPair>& match(const TileMatrix<T>& a, const TileLayoutCsc& b_csc,
+                                          index_t tile_i, index_t tile_j) {
+      pairs.clear();
+      const offset_t a_base = a.tile_ptr[tile_i];
+      const index_t len_a = static_cast<index_t>(a.tile_ptr[tile_i + 1] - a_base);
+      const offset_t b_base = b_csc.col_ptr[tile_j];
+      const index_t len_b = static_cast<index_t>(b_csc.col_ptr[tile_j + 1] - b_base);
+      row_index.intersect(tile_i, a.tile_col_idx.data() + a_base, a_base, len_a,
+                          b_csc.row_idx.data() + b_base, b_csc.tile_id.data() + b_base, len_b,
+                          pairs);
+      return pairs;
+    }
 
     std::size_t bytes() const {
       return detail::capacity_bytes(pairs) + detail::capacity_bytes(cache) +
-             detail::capacity_bytes(staged) + sym.bytes();
+             detail::capacity_bytes(staged) + sym.bytes() + row_index.bytes();
     }
   };
 
@@ -184,6 +201,12 @@ struct SpgemmWorkspace {
   }
 
   ThreadSlot& slot(int tid) { return slots[static_cast<std::size_t>(tid)]; }
+
+  /// Size every thread's row index to A's tile columns and unbind it. Call
+  /// after ensure_threads, before each loop that calls ThreadSlot::match.
+  void reset_row_index(index_t a_tile_cols) {
+    for (ThreadSlot& s : slots) s.row_index.reset(a_tile_cols);
+  }
 
   /// Reset per-call contents, keeping every buffer's capacity. Also drops
   /// the previous call's cancellation token: a token tripped by request N

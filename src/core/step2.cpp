@@ -29,6 +29,7 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
   out.row_ptr.assign(checked_size_mul(static_cast<std::size_t>(ntiles), kTileDim), 0);
   out.mask.assign(checked_size_mul(static_cast<std::size_t>(ntiles), kTileDim), 0);
   ws.ensure_threads(max_workers());
+  ws.reset_row_index(a.tile_cols);
   // Filled with the uncached sentinel: tiles below the plan's cache bin (and
   // fused tiles) never touch their slot, and step 3 must read those as
   // "recompute", not as an empty cached pair list.
@@ -80,15 +81,7 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
 
     // Set intersection of A's tile row `tile_i` with B's tile column
     // `tile_j` (Algorithm 2 lines 4-18).
-    std::vector<MatchedPair>& pairs = slot.pairs;
-    pairs.clear();
-    const offset_t a_base = a.tile_ptr[tile_i];
-    const index_t len_a = static_cast<index_t>(a.tile_ptr[tile_i + 1] - a_base);
-    const offset_t b_base = b_csc.col_ptr[tile_j];
-    const index_t len_b = static_cast<index_t>(b_csc.col_ptr[tile_j + 1] - b_base);
-    intersect_tiles(a.tile_col_idx.data() + a_base, a_base, len_a,
-                    b_csc.row_idx.data() + b_base, b_csc.tile_id.data() + b_base, len_b,
-                    options.intersect, pairs);
+    const std::vector<MatchedPair>& pairs = slot.match(a, b_csc, tile_i, tile_j);
 
     // OR the selected row masks of B into the C masks (Algorithm 2 lines
     // 19-25, Figure 5): each nonzero of A_ik at local (r, c) contributes

@@ -18,6 +18,7 @@ void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
                    SpgemmWorkspace<T>& ws, const ExecutionPlan& plan) {
   const offset_t ntiles = structure.num_tiles();
   ws.ensure_threads(max_workers());
+  ws.reset_row_index(a.tile_cols);
   const bool use_cache =
       plan.cache_pairs && ws.pair_slot.size() == static_cast<std::size_t>(ntiles);
   const bool use_staged = plan.fuse_light && plan.cache_pairs &&
@@ -100,15 +101,8 @@ void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
       }
     }
     if (!cached) {
-      std::vector<MatchedPair>& pairs = ws.slot(worker_rank()).pairs;
-      pairs.clear();
-      const offset_t a_base = a.tile_ptr[tile_i];
-      const index_t len_a = static_cast<index_t>(a.tile_ptr[tile_i + 1] - a_base);
-      const offset_t b_base = b_csc.col_ptr[tile_j];
-      const index_t len_b = static_cast<index_t>(b_csc.col_ptr[tile_j + 1] - b_base);
-      intersect_tiles(a.tile_col_idx.data() + a_base, a_base, len_a,
-                      b_csc.row_idx.data() + b_base, b_csc.tile_id.data() + b_base, len_b,
-                      options.intersect, pairs);
+      const std::vector<MatchedPair>& pairs =
+          ws.slot(worker_rank()).match(a, b_csc, tile_i, tile_j);
       pair_data = pairs.data();
       pair_count = pairs.size();
     }

@@ -10,6 +10,7 @@
 #include <cstdint>
 
 #include "core/intersect.h"
+#include "core/options.h"
 #include "core/simd_dispatch.h"
 #include "core/tile_format.h"
 

@@ -149,6 +149,22 @@ Csr<double> banded(index_t n, index_t half_bw, std::uint64_t seed, ValueDist dis
   return a;
 }
 
+Csr<double> column_plus_diagonal(index_t n, std::uint64_t seed, ValueDist dist) {
+  if (n <= 0) throw std::invalid_argument("column_plus_diagonal: empty shape");
+  Xoshiro256 rng(seed);
+  Csr<double> a(n, n);
+  for (index_t i = 0; i < n; ++i) {
+    a.col_idx.push_back(0);
+    a.val.push_back(draw_value(rng, dist));
+    if (i > 0) {
+      a.col_idx.push_back(i);
+      a.val.push_back(draw_value(rng, dist));
+    }
+    a.row_ptr[i + 1] = static_cast<offset_t>(a.col_idx.size());
+  }
+  return a;
+}
+
 Csr<double> dense_blocks(index_t blocks, index_t block_dim, std::uint64_t seed,
                          ValueDist dist) {
   if (blocks <= 0 || block_dim <= 0) throw std::invalid_argument("dense_blocks: bad shape");

@@ -63,6 +63,13 @@ Csr<double> dense_blocks(index_t blocks, index_t block_dim, std::uint64_t seed,
 Csr<double> clustered_rows(index_t n, int clusters, int run_len, std::uint64_t seed,
                            ValueDist dist = {});
 
+/// Column-plus-diagonal matrix: row i holds column 0 and column i (row 0
+/// only column 0). Every tile row has at most two tiles while tile column 0
+/// holds one tile per tile row, so A*A intersects two-tile rows of A with a
+/// column of B as long as the matrix: the worst case for walking B's column
+/// instead of searching it.
+Csr<double> column_plus_diagonal(index_t n, std::uint64_t seed, ValueDist dist = {});
+
 /// Symmetrise the pattern: returns A + A^T structure with A's values where
 /// present (value of a mirrored-only entry is the mirrored value).
 Csr<double> symmetrized(const Csr<double>& a);

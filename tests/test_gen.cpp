@@ -78,6 +78,18 @@ TEST(Gen, DenseBlocksAreDense) {
   for (index_t i = 0; i < a.rows; ++i) EXPECT_EQ(a.row_nnz(i), 10);
 }
 
+TEST(Gen, ColumnPlusDiagonalShape) {
+  const Csr<double> a = gen::column_plus_diagonal(100, 84);
+  EXPECT_TRUE(a.validate().empty());
+  EXPECT_EQ(a.nnz(), 199);
+  EXPECT_EQ(a.row_nnz(0), 1);
+  for (index_t i = 1; i < a.rows; ++i) {
+    ASSERT_EQ(a.row_nnz(i), 2) << "row " << i;
+    EXPECT_EQ(a.col_idx[a.row_ptr[i]], 0) << "row " << i;
+    EXPECT_EQ(a.col_idx[a.row_ptr[i] + 1], i) << "row " << i;
+  }
+}
+
 TEST(Gen, ClusteredRowsHaveDiagonal) {
   const Csr<double> a = gen::clustered_rows(80, 2, 5, 82);
   for (index_t i = 0; i < a.rows; ++i) {

@@ -71,6 +71,8 @@ TEST(Semiring, PlusTimesMatchesOrdinarySpgemm) {
 TEST(Semiring, MinPlusOnRandom) {
   const Csr<double> a = gen::erdos_renyi(70, 70, 500, 2);
   check_semiring<MinPlus<double>>(a, a, "min-plus");
+  const Csr<double> col_diag = test::make_col_diag();
+  check_semiring<MinPlus<double>>(col_diag, col_diag, "min-plus column+diagonal");
 }
 
 TEST(Semiring, MinPlusRectangular) {
@@ -127,17 +129,6 @@ TEST(Semiring, SpmvOrAndIsFrontierExpansion) {
     }
     ASSERT_EQ(y[static_cast<std::size_t>(i)] != 0.0, reaches) << i;
   }
-}
-
-TEST(Semiring, WorksUnderAllAccumulatorPolicies) {
-  // The semiring path has no dense accumulator (identity-fill is per-slot),
-  // but it should be insensitive to the intersect method.
-  const Csr<double> a = gen::dense_blocks(3, 20, 10);
-  TileSpgemmOptions merge;
-  merge.intersect = IntersectMethod::kMerge;
-  const Csr<double> c1 = spgemm_semiring<MinPlus<double>>(a, a);
-  const Csr<double> c2 = spgemm_semiring<MinPlus<double>>(a, a, merge);
-  test::expect_equal(c1, c2, "intersect invariance");
 }
 
 }  // namespace

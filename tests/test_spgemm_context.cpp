@@ -2,12 +2,15 @@
 // step2+step3 path, and the Config builder / environment plumbing.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <limits>
 #include <utility>
 
+#include "common/cancellation.h"
 #include "common/memory.h"
 #include "core/masked_spgemm.h"
+#include "core/semiring_spgemm.h"
 #include "core/spgemm_context.h"
 #include "matrix/convert.h"
 #include "matrix/transpose.h"
@@ -190,13 +193,11 @@ TEST(SpgemmContext, ConvertMsIsAttributed) {
 
 TEST(SpgemmContext, ConfigBuilderComposes) {
   const SpgemmContext::Config cfg = SpgemmContext::Config{}
-                                        .with_intersect(IntersectMethod::kMerge)
                                         .with_tnnz(64)
                                         .with_threads(2)
                                         .with_cost_binning(false)
                                         .with_fused_path(true)
                                         .with_fuse_threshold(32);
-  EXPECT_EQ(cfg.options.intersect, IntersectMethod::kMerge);
   EXPECT_EQ(cfg.options.tnnz, 64);
   EXPECT_TRUE(cfg.options.cache_pairs);  // implied by the fused path
   EXPECT_EQ(cfg.threads, 2);
@@ -339,6 +340,44 @@ static_assert(
     twin_pair(&SpgemmContext::run_masked<double>, &SpgemmContext::try_run_masked<double>));
 static_assert(
     twin_pair(&SpgemmContext::run_masked<float>, &SpgemmContext::try_run_masked<float>));
+
+TEST(SpgemmContextStatus, MaskedAndSemiringHonourCancellation) {
+  // The context's token reaches the masked and semiring pipelines: a
+  // pre-cancelled or expired token ends the call with its status instead of
+  // a (partly computed) C, and the disarmed context runs bit-identically to
+  // a fresh one afterwards.
+  const TileMatrix<double> a = csr_to_tile(test::make_rmat_small());
+  SpgemmContext fresh;
+  const Csr<double> want_masked = tile_to_csr(fresh.run_masked(a, a, a));
+  const Csr<double> want_min_plus =
+      tile_to_csr(tile_spgemm_semiring<MinPlus<double>>(fresh, a, a));
+
+  CancelSource cancelled;
+  cancelled.request_cancel();
+  CancelSource expired;
+  expired.set_deadline(std::chrono::steady_clock::now() - std::chrono::seconds(1));
+  const std::pair<CancelToken, StatusCode> stops[] = {
+      {cancelled.token(), StatusCode::kCancelled},
+      {expired.token(), StatusCode::kDeadlineExceeded},
+  };
+  SpgemmContext ctx;
+  for (const auto& [token, code] : stops) {
+    ctx.set_cancel_token(token);
+    EXPECT_EQ(ctx.try_run_masked(a, a, a).status().code(), code);
+    try {
+      (void)tile_spgemm_semiring<MinPlus<double>>(ctx, a, a);
+      ADD_FAILURE() << "semiring multiply ran under a stopped token";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.status().code(), code);
+    }
+  }
+
+  ctx.set_cancel_token({});
+  expect_bit_identical(want_masked, tile_to_csr(ctx.run_masked(a, a, a)), "masked");
+  expect_bit_identical(want_min_plus,
+                       tile_to_csr(tile_spgemm_semiring<MinPlus<double>>(ctx, a, a)),
+                       "min-plus");
+}
 
 TEST(SpgemmContext, FloatAndDoublePoolsAreIndependent) {
   SpgemmContext ctx;

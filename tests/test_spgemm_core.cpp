@@ -58,7 +58,8 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepCase{"blocks", test::make_blocks},
                       SweepCase{"blocks_large", test::make_blocks_large},
                       SweepCase{"clustered", test::make_clustered},
-                      SweepCase{"hyper_sparse", test::make_hyper_sparse}),
+                      SweepCase{"hyper_sparse", test::make_hyper_sparse},
+                      SweepCase{"col_diag", test::make_col_diag}),
     [](const auto& info) { return std::string(info.param.name); });
 
 // ------------------------------------------------------ rectangular cases --

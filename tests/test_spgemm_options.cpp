@@ -1,10 +1,16 @@
-// The algorithm's tunables: both intersection methods, all accumulator
-// policies and threshold settings must give bit-identical structure and
-// tolerance-identical values — they are performance choices, not semantics.
+// The algorithm's tunables: all accumulator policies and threshold settings
+// must give bit-identical structure and tolerance-identical values — they
+// are performance choices, not semantics. The intersection routines must
+// return exactly the same matched pairs in the same order.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
 
 #include "common/random.h"
 #include "core/intersect.h"
+#include "core/spgemm_workspace.h"
+#include "core/tile_convert.h"
 #include "core/tile_spgemm.h"
 #include "gen/generators.h"
 #include "test_support.h"
@@ -34,9 +40,6 @@ std::vector<OptionsCase> option_grid() {
   std::vector<OptionsCase> grid;
   grid.push_back({"defaults", {}});
   TileSpgemmOptions o;
-  o.intersect = IntersectMethod::kMerge;
-  grid.push_back({"merge_intersect", o});
-  o = {};
   o.accumulator = AccumulatorPolicy::kAlwaysSparse;
   grid.push_back({"always_sparse", o});
   o = {};
@@ -54,11 +57,6 @@ std::vector<OptionsCase> option_grid() {
   o = {};
   o.cache_pairs = true;
   grid.push_back({"cache_pairs", o});
-  o = {};
-  o.cache_pairs = true;
-  o.intersect = IntersectMethod::kMerge;
-  o.accumulator = AccumulatorPolicy::kAlwaysSparse;
-  grid.push_back({"cache_pairs_merge_sparse", o});
   return grid;
 }
 
@@ -79,19 +77,70 @@ TEST(Options, ThresholdBoundaryTilesAgree) {
 
 // ------------------------------------------------- intersect unit tests --
 
+std::vector<offset_t> b_ids_for(const std::vector<index_t>& b_rows) {
+  std::vector<offset_t> ids(b_rows.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = 100 + static_cast<offset_t>(i);
+  return ids;
+}
+
 std::vector<MatchedPair> run_intersect(const std::vector<index_t>& a_cols,
                                        const std::vector<index_t>& b_rows,
                                        IntersectMethod method) {
-  std::vector<offset_t> b_ids(b_rows.size());
-  for (std::size_t i = 0; i < b_ids.size(); ++i) b_ids[i] = 100 + static_cast<offset_t>(i);
+  const std::vector<offset_t> b_ids = b_ids_for(b_rows);
   std::vector<MatchedPair> out;
   intersect_tiles(a_cols.data(), 0, static_cast<index_t>(a_cols.size()), b_rows.data(),
                   b_ids.data(), static_cast<index_t>(b_rows.size()), method, out);
   return out;
 }
 
-TEST(Intersect, BothMethodsAgreeOnRandomSets) {
+/// The pipeline's routine: A's list as tile row `row` of an index sized to
+/// `width` tile columns (default: one past the largest key of either list,
+/// as A.tile_cols bounds both in a product).
+std::vector<MatchedPair> run_indexed(TileRowIndex& index, index_t row,
+                                     const std::vector<index_t>& a_cols,
+                                     const std::vector<index_t>& b_rows) {
+  const std::vector<offset_t> b_ids = b_ids_for(b_rows);
+  std::vector<MatchedPair> out;
+  index.intersect(row, a_cols.data(), 0, static_cast<index_t>(a_cols.size()), b_rows.data(),
+                  b_ids.data(), static_cast<index_t>(b_rows.size()), out);
+  return out;
+}
+
+std::vector<MatchedPair> run_indexed(const std::vector<index_t>& a_cols,
+                                     const std::vector<index_t>& b_rows,
+                                     index_t width = -1) {
+  if (width < 0) {
+    width = 1;
+    for (index_t k : a_cols) width = std::max(width, k + 1);
+    for (index_t k : b_rows) width = std::max(width, k + 1);
+  }
+  TileRowIndex index;
+  index.reset(width);
+  return run_indexed(index, 0, a_cols, b_rows);
+}
+
+void expect_same_pairs(const std::vector<MatchedPair>& want,
+                       const std::vector<MatchedPair>& got, const std::string& context) {
+  ASSERT_EQ(want.size(), got.size()) << context;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(want[i].tile_a, got[i].tile_a) << context << " pair " << i;
+    ASSERT_EQ(want[i].tile_b, got[i].tile_b) << context << " pair " << i;
+  }
+}
+
+/// Both reference methods and the indexed routine on one list pair.
+void expect_all_agree(const std::vector<index_t>& a, const std::vector<index_t>& b,
+                      const std::string& context) {
+  const auto ref = run_intersect(a, b, IntersectMethod::kBinarySearch);
+  expect_same_pairs(ref, run_intersect(a, b, IntersectMethod::kMerge), context + " merge");
+  expect_same_pairs(ref, run_indexed(a, b), context + " indexed");
+}
+
+TEST(Intersect, AllMethodsAgreeOnRandomSets) {
   Xoshiro256 rng(11);
+  // One index across every trial, reset per trial like a pipeline loop: each
+  // trial is a different A whose list is bound under the same row number.
+  TileRowIndex index;
   for (int trial = 0; trial < 200; ++trial) {
     std::vector<index_t> a, b;
     index_t va = 0, vb = 0;
@@ -100,26 +149,25 @@ TEST(Intersect, BothMethodsAgreeOnRandomSets) {
     for (int i = 0; i < la; ++i) a.push_back(va += 1 + static_cast<index_t>(rng.next_below(4)));
     for (int i = 0; i < lb; ++i) b.push_back(vb += 1 + static_cast<index_t>(rng.next_below(4)));
 
-    const auto r1 = run_intersect(a, b, IntersectMethod::kBinarySearch);
-    const auto r2 = run_intersect(a, b, IntersectMethod::kMerge);
-    ASSERT_EQ(r1.size(), r2.size()) << "trial " << trial;
-    for (std::size_t i = 0; i < r1.size(); ++i) {
-      ASSERT_EQ(r1[i].tile_a, r2[i].tile_a);
-      ASSERT_EQ(r1[i].tile_b, r2[i].tile_b);
-    }
+    const std::string context = "trial " + std::to_string(trial);
+    expect_all_agree(a, b, context);
+    index.reset(std::max(va, vb) + 1);
+    expect_same_pairs(run_intersect(a, b, IntersectMethod::kBinarySearch),
+                      run_indexed(index, 0, a, b), context + " reused index");
   }
 }
 
 TEST(Intersect, PaperFigure4Example) {
   // Fig. 4: tilecolidx_A(row 1) = {0,1,3}, tilerowidx_B(col 2) = {1,3}
   // -> matches at tiles (A11,B12) and (A13,B32).
-  const auto r =
-      run_intersect({0, 1, 3}, {1, 3}, IntersectMethod::kBinarySearch);
-  ASSERT_EQ(r.size(), 2u);
-  EXPECT_EQ(r[0].tile_a, 1);    // position of '1' in A's list
-  EXPECT_EQ(r[0].tile_b, 100);  // first B tile id
-  EXPECT_EQ(r[1].tile_a, 2);
-  EXPECT_EQ(r[1].tile_b, 101);
+  for (const auto& r : {run_intersect({0, 1, 3}, {1, 3}, IntersectMethod::kBinarySearch),
+                        run_indexed({0, 1, 3}, {1, 3})}) {
+    ASSERT_EQ(r.size(), 2u);
+    EXPECT_EQ(r[0].tile_a, 1);    // position of '1' in A's list
+    EXPECT_EQ(r[0].tile_b, 100);  // first B tile id
+    EXPECT_EQ(r[1].tile_a, 2);
+    EXPECT_EQ(r[1].tile_b, 101);
+  }
 }
 
 TEST(Intersect, EmptyAndDisjoint) {
@@ -127,16 +175,96 @@ TEST(Intersect, EmptyAndDisjoint) {
   EXPECT_TRUE(run_intersect({1, 2}, {}, IntersectMethod::kBinarySearch).empty());
   EXPECT_TRUE(run_intersect({0, 2, 4}, {1, 3, 5}, IntersectMethod::kBinarySearch).empty());
   EXPECT_TRUE(run_intersect({0, 2, 4}, {1, 3, 5}, IntersectMethod::kMerge).empty());
+  EXPECT_TRUE(run_indexed({}, {1, 2}).empty());
+  EXPECT_TRUE(run_indexed({1, 2}, {}).empty());
+  EXPECT_TRUE(run_indexed({0, 2, 4}, {1, 3, 5}).empty());
 }
 
 TEST(Intersect, IdenticalSetsMatchFully) {
   const std::vector<index_t> s = {2, 5, 9, 11, 40};
-  const auto r = run_intersect(s, s, IntersectMethod::kBinarySearch);
-  ASSERT_EQ(r.size(), s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    EXPECT_EQ(r[i].tile_a, static_cast<offset_t>(i));
-    EXPECT_EQ(r[i].tile_b, 100 + static_cast<offset_t>(i));
+  for (const auto& r : {run_intersect(s, s, IntersectMethod::kBinarySearch),
+                        run_indexed(s, s)}) {
+    ASSERT_EQ(r.size(), s.size());
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      EXPECT_EQ(r[i].tile_a, static_cast<offset_t>(i));
+      EXPECT_EQ(r[i].tile_b, 100 + static_cast<offset_t>(i));
+    }
   }
+}
+
+TEST(Intersect, SingleEntryLists) {
+  expect_all_agree({7}, {7}, "hit");
+  expect_all_agree({7}, {3}, "miss below");
+  expect_all_agree({3}, {7}, "miss above");
+  expect_all_agree({3}, {1, 3, 8}, "single A");
+  expect_all_agree({1, 3, 8}, {8}, "single B");
+  ASSERT_EQ(run_indexed({7}, {7}).size(), 1u);
+}
+
+TEST(Intersect, BKeysAboveALastKeyAreNeverProbed) {
+  // The walk stops at A's last key: an index only as wide as A's keys must
+  // still give the reference pairs when B's column runs far past them.
+  const std::vector<index_t> a = {1, 4};
+  const std::vector<index_t> b = {0, 1, 4, 5, 9, 30, 31};
+  const auto ref = run_intersect(a, b, IntersectMethod::kBinarySearch);
+  ASSERT_EQ(ref.size(), 2u);
+  expect_same_pairs(ref, run_indexed(a, b, /*width=*/5), "narrow index");
+  expect_all_agree(a, b, "wide index");
+}
+
+TEST(Intersect, LongBColumnTakesTheSearchBranch) {
+  // Column-plus-diagonal shape: a two-tile A row against a B column as long
+  // as the matrix. Past the length rule the routine binary-searches A's keys
+  // into B; just below it, it walks. Both must give the reference pairs.
+  std::vector<index_t> b(1000);
+  for (index_t k = 0; k < 1000; ++k) b[static_cast<std::size_t>(k)] = k;
+  const std::vector<index_t> a = {0, 731};
+  ASSERT_TRUE(intersect_by_search(2, 1000));
+  expect_all_agree(a, b, "search branch");
+
+  // 48 == 4 * 2 * bit_width(48): the last length that still walks.
+  const std::vector<index_t> b_short(b.begin(), b.begin() + 48);
+  ASSERT_FALSE(intersect_by_search(2, 48));
+  expect_all_agree({0, 47}, b_short, "walk at the boundary");
+  const std::vector<index_t> b_past(b.begin(), b.begin() + 49);
+  ASSERT_TRUE(intersect_by_search(2, 49));
+  expect_all_agree({0, 48}, b_past, "search past the boundary");
+}
+
+TEST(Intersect, ThreadSlotRebindsAcrossRowsAndAfterReset) {
+  // One thread slot matches tiles of two tile rows (binding, rebinding, and
+  // binding back), then — after the loop reset — tiles of a different A
+  // whose rows carry the same numbers but other tile columns. Each result
+  // must equal the reference intersection of that A's row.
+  const TileMatrix<double> a1 = csr_to_tile(gen::erdos_renyi(160, 160, 700, 301));
+  const TileMatrix<double> a2 = csr_to_tile(gen::banded(160, 20, 302));
+  const TileMatrix<double> b = csr_to_tile(gen::erdos_renyi(160, 160, 700, 303));
+  const TileLayoutCsc b_csc = tile_layout_csc(b);
+  SpgemmWorkspace<double> ws;
+  ws.ensure_threads(1);
+  SpgemmWorkspace<double>::ThreadSlot& slot = ws.slot(0);
+
+  auto expect_match = [&](const TileMatrix<double>& a, index_t ti, index_t tj) {
+    std::vector<MatchedPair> want;
+    const offset_t a_base = a.tile_ptr[ti];
+    const offset_t b_base = b_csc.col_ptr[tj];
+    intersect_tiles(a.tile_col_idx.data() + a_base, a_base,
+                    static_cast<index_t>(a.tile_ptr[ti + 1] - a_base),
+                    b_csc.row_idx.data() + b_base, b_csc.tile_id.data() + b_base,
+                    static_cast<index_t>(b_csc.col_ptr[tj + 1] - b_base),
+                    IntersectMethod::kBinarySearch, want);
+    expect_same_pairs(want, slot.match(a, b_csc, ti, tj),
+                      "row " + std::to_string(ti) + " col " + std::to_string(tj));
+  };
+
+  ws.reset_row_index(a1.tile_cols);
+  for (index_t tj = 0; tj < b.tile_cols; ++tj) expect_match(a1, 2, tj);
+  for (index_t tj = 0; tj < b.tile_cols; ++tj) expect_match(a1, 7, tj);
+  for (index_t tj = 0; tj < b.tile_cols; ++tj) expect_match(a1, 2, tj);
+
+  ws.reset_row_index(a2.tile_cols);
+  for (index_t tj = 0; tj < b.tile_cols; ++tj) expect_match(a2, 2, tj);
+  for (index_t tj = 0; tj < b.tile_cols; ++tj) expect_match(a2, 7, tj);
 }
 
 }  // namespace

@@ -78,5 +78,8 @@ inline Csr<double> make_blocks() { return gen::dense_blocks(6, 20, 48); }
 inline Csr<double> make_blocks_large() { return gen::dense_blocks(3, 50, 49); }
 inline Csr<double> make_clustered() { return gen::clustered_rows(200, 3, 6, 50); }
 inline Csr<double> make_hyper_sparse() { return gen::erdos_renyi(2000, 2000, 3000, 51); }
+/// 64 tile rows: A*A meets two-tile A rows with a 64-tile B column, long
+/// enough for the indexed intersection's binary-search branch.
+inline Csr<double> make_col_diag() { return gen::column_plus_diagonal(1024, 52); }
 
 }  // namespace tsg::test

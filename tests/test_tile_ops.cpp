@@ -125,6 +125,16 @@ TEST_P(MaskedSpgemmSweep, EqualsHadamardOfFullProduct) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MaskedSpgemmSweep, ::testing::Values(1u, 2u, 3u));
 
+TEST(MaskedSpgemm, ColumnPlusDiagonalEqualsHadamardOfFullProduct) {
+  // Both passes intersect two-tile A rows with B's full-length tile column 0
+  // (the binary-search branch); the mask keeps column 0, the diagonal and a
+  // random scatter.
+  const Csr<double> a = test::make_col_diag();
+  const Csr<double> m = add(a, gen::erdos_renyi(a.rows, a.cols, 3000, 33));
+  const Csr<double> expected = structural_mask(spgemm_reference(a, a), m);
+  test::expect_equal(expected, spgemm_tile_masked(a, a, m), "masked column+diagonal");
+}
+
 TEST(MaskedSpgemm, TriangleCountingFormulation) {
   // count = sum((L*L) .* L) — masked product never materialises L*L.
   Csr<double> g = gen::symmetrized(gen::erdos_renyi(200, 200, 1500, 41));
