@@ -3,12 +3,18 @@
 // bench_micro_kernels):
 //   1. binary-search vs merge vs indexed intersection over the real (A tile
 //      row, B tile column) lists of each C tile from step 1
-//   2. adaptive vs always-sparse vs always-dense accumulator (end to end)
-//   3. sensitivity to the tnnz threshold around the paper's 192 (end to end)
+//   2. the step-3 tile accumulate over each matrix's real C tiles: the
+//      rank-indexed scatter, the scalar dense walk and the dispatched row
+//      kernel (the paper switches scatter -> dense at tnnz = 192)
+//   3. the tile-size cut between scatter and row kernel (the pipeline's
+//      detail::kRankScatterMaxNnz)
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <iostream>
 #include <vector>
 
+#include "accumulate_fixture.h"
 #include "bench_common.h"
 #include "common/timer.h"
 #include "core/intersect.h"
@@ -117,17 +123,36 @@ int main(int argc, char** argv) {
             << "geomean indexed/binary-search ratio: " << fmt(std::exp(geo_indexed / counted))
             << "x\n";
 
-  bench::print_header("Ablation 2: accumulator policy",
-                      "Section 3.3: adaptive sparse/dense selection at tnnz=192");
-  Table t2({"matrix", "adaptive ms", "always sparse ms", "always dense ms"});
+  bench::print_header("Ablation 2: step-3 tile accumulate",
+                      "Section 3.3: sparse (rank-indexed) vs dense accumulator, timed serially "
+                      "over every non-empty C tile of A*A; row kernel = " +
+                          std::string(simd::level_name(simd::active_level())));
+  Table t2({"matrix", "C tiles", "nnz/tile", "rank scatter ms", "dense walk ms",
+            "row kernel ms", "row kernel/scatter"});
+  std::vector<bench::AccumulateFixture> fixtures;
+  fixtures.reserve(suite.size());
+  const simd::NumericOps& walk = simd::numeric_ops(simd::Level::kScalar);
+  const simd::NumericOps& rows = simd::numeric_ops(simd::active_level());
   for (const auto& m : suite) {
-    const TileMatrix<double> t = csr_to_tile(m.a);
-    TileSpgemmOptions ad, sp, de;
-    sp.accumulator = AccumulatorPolicy::kAlwaysSparse;
-    de.accumulator = AccumulatorPolicy::kAlwaysDense;
-    t2.add_row({m.name, fmt(time_with(t, ad, args.effective_reps())),
-                fmt(time_with(t, sp, args.effective_reps())),
-                fmt(time_with(t, de, args.effective_reps()))});
+    const bench::AccumulateFixture& fx = fixtures.emplace_back(m.a);
+    std::vector<double> v_scatter, v_walk, v_rows;
+    double ms_scatter = 1e300, ms_walk = 1e300, ms_rows = 1e300;
+    for (int r = 0; r < args.effective_reps(); ++r) {
+      ms_scatter = std::min(ms_scatter, fx.time_pass(kTileNnzMax, walk, v_scatter));
+      ms_walk = std::min(ms_walk, fx.time_pass(0, walk, v_walk));
+      ms_rows = std::min(ms_rows, fx.time_pass(0, rows, v_rows));
+    }
+    const std::size_t bytes = v_scatter.size() * sizeof(double);
+    if (std::memcmp(v_walk.data(), v_scatter.data(), bytes) != 0 ||
+        std::memcmp(v_rows.data(), v_scatter.data(), bytes) != 0) {
+      std::cerr << m.name << ": accumulate kernels disagree\n";
+      return 1;
+    }
+    const double per_tile = fx.tiles.empty() ? 0.0
+                                             : static_cast<double>(fx.c.nnz()) /
+                                                   static_cast<double>(fx.tiles.size());
+    t2.add_row({m.name, std::to_string(fx.tiles.size()), fmt(per_tile), fmt(ms_scatter),
+                fmt(ms_walk), fmt(ms_rows), fmt(ms_rows / ms_scatter) + "x"});
   }
   bench::emit(t2, args);
 
@@ -145,24 +170,24 @@ int main(int argc, char** argv) {
   }
   bench::emit(t2b, args);
 
-  bench::print_header("Ablation 3: tnnz threshold sweep",
-                      "the 75% rule: dense accumulation wins above ~192 of 256 nonzeros");
-  Table t3({"tnnz", "SiO2 ms", "gupta3 ms", "pdb1HYS ms", "webbase-1M ms"});
-  std::vector<const gen::NamedMatrix*> picks;
-  for (const auto& m : suite) {
-    if (m.name == "SiO2" || m.name == "gupta3" || m.name == "pdb1HYS" ||
-        m.name == "webbase-1M") {
-      picks.push_back(&m);
+  bench::print_header("Ablation 3: scatter/row-kernel cut",
+                      "tiles of at most `cut` nonzeros take the rank-indexed scatter, larger "
+                      "ones the row kernel; the pipeline's cut is " +
+                          std::to_string(detail::kRankScatterMaxNnz));
+  const std::vector<index_t> cuts = {0, 4, 8, 16, 32, 64, 192, kTileNnzMax};
+  std::vector<std::string> header = {"matrix"};
+  for (const index_t cut : cuts) header.push_back("cut " + std::to_string(cut) + " ms");
+  Table t3(header);
+  for (std::size_t i = 0; i < suite.size(); ++i) {
+    std::vector<double> best(cuts.size(), 1e300);
+    std::vector<double> out;
+    for (int r = 0; r < args.effective_reps(); ++r) {
+      for (std::size_t j = 0; j < cuts.size(); ++j) {
+        best[j] = std::min(best[j], fixtures[i].time_pass(cuts[j], rows, out));
+      }
     }
-  }
-  for (index_t tnnz : {0, 64, 128, 192, 224, 255}) {
-    std::vector<std::string> cells = {std::to_string(tnnz)};
-    for (const auto* m : picks) {
-      const TileMatrix<double> t = csr_to_tile(m->a);
-      TileSpgemmOptions opt;
-      opt.tnnz = tnnz;
-      cells.push_back(fmt(time_with(t, opt, args.effective_reps())));
-    }
+    std::vector<std::string> cells = {suite[i].name};
+    for (const double ms : best) cells.push_back(fmt(ms));
     t3.add_row(cells);
   }
   bench::emit(t3, args);

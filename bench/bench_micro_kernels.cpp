@@ -2,9 +2,10 @@
 // choices Section 3.3 argues for:
 //   * binary-search vs merge set intersection (the paper picked binary
 //     search after finding merge slower), and the pipeline's indexed one
-//   * sparse vs dense accumulator across output-tile densities (the basis
-//     of the tnnz = 192 threshold)
-//   * end-to-end sensitivity of TileSpGEMM to the tnnz threshold
+//   * the step-3 tile accumulate across output-tile densities: rank-indexed
+//     scatter, scalar dense walk and dispatched row kernel (the paper's
+//     sparse/dense accumulators, switched at tnnz = 192)
+//   * the scatter/row-kernel cut on a product with mixed tile sizes
 //   * CSR->tile conversion throughput (Fig. 12's numerator)
 //   * word-packed vs scalar step-2 symbolic kernel (ISSUE 5)
 //
@@ -17,6 +18,7 @@
 #include <string_view>
 #include <vector>
 
+#include "accumulate_fixture.h"
 #include "regress_harness.h"
 
 #include "common/random.h"
@@ -114,44 +116,48 @@ BENCHMARK(BM_IntersectIndexed)->Args({8, 256})->Args({32, 32})->Args({4, 1024});
 
 // ------------------------------------------------------------ accumulator --
 
-/// One synthetic accumulation task at a given output-tile density: measures
-/// the step-3 inner kernels in isolation through the public API by forcing
-/// the accumulator policy on a matrix whose C tiles have ~density*256 nnz.
-void BM_Accumulator(benchmark::State& state, AccumulatorPolicy policy) {
-  const index_t block = static_cast<index_t>(state.range(0));  // C tiles ~ block wide
-  const Csr<double> a = gen::dense_blocks(64, block, 77);
-  const TileMatrix<double> t = csr_to_tile(a);
-  TileSpgemmOptions opt;
-  opt.accumulator = policy;
+/// One serial accumulate pass over the real C tiles of A*A (see
+/// accumulate_fixture.h); tiles of at most `cut` nonzeros take the
+/// rank-indexed scatter, larger ones the dense kernel through `nops`.
+void time_accumulate(benchmark::State& state, const Csr<double>& a, index_t cut,
+                     const simd::NumericOps& nops) {
+  const bench::AccumulateFixture fx(a);
+  std::vector<double> out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tile_spgemm(t, t, opt).c.nnz());
+    fx.pass(cut, nops, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
+  state.SetItemsProcessed(state.iterations() * fx.c.nnz());
 }
 
-void BM_AccumulatorSparse(benchmark::State& s) {
-  BM_Accumulator(s, AccumulatorPolicy::kAlwaysSparse);
-}
-void BM_AccumulatorDense(benchmark::State& s) {
-  BM_Accumulator(s, AccumulatorPolicy::kAlwaysDense);
+/// A block-diagonal matrix whose C tiles have ~block^2 of 256 nonzeros.
+Csr<double> accumulate_blocks(const benchmark::State& state) {
+  return gen::dense_blocks(64, static_cast<index_t>(state.range(0)), 77);
 }
 
-// block=4 -> 16/256 nnz per C tile (sparse wins); block=16 -> 256/256
-// (dense wins); block=12 -> 144/256 (near the threshold).
-BENCHMARK(BM_AccumulatorSparse)->Arg(4)->Arg(12)->Arg(16);
-BENCHMARK(BM_AccumulatorDense)->Arg(4)->Arg(12)->Arg(16);
-
-// -------------------------------------------------------- tnnz sensitivity --
-
-void BM_TnnzThreshold(benchmark::State& state) {
-  const Csr<double> a = gen::dense_blocks(48, 14, 78);  // C tiles ~196 nnz
-  const TileMatrix<double> t = csr_to_tile(a);
-  TileSpgemmOptions opt;
-  opt.tnnz = static_cast<index_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tile_spgemm(t, t, opt).c.nnz());
-  }
+void BM_AccumulateRankScatter(benchmark::State& s) {
+  time_accumulate(s, accumulate_blocks(s), kTileNnzMax, simd::numeric_ops(simd::Level::kScalar));
 }
-BENCHMARK(BM_TnnzThreshold)->Arg(0)->Arg(128)->Arg(192)->Arg(255);
+void BM_AccumulateDenseWalk(benchmark::State& s) {
+  time_accumulate(s, accumulate_blocks(s), 0, simd::numeric_ops(simd::Level::kScalar));
+}
+void BM_AccumulateRowKernel(benchmark::State& s) {
+  time_accumulate(s, accumulate_blocks(s), 0, simd::numeric_ops(simd::active_level()));
+}
+
+// block=4 -> 16/256 nnz per C tile; block=12 -> 144/256; block=16 -> full.
+BENCHMARK(BM_AccumulateRankScatter)->Arg(4)->Arg(12)->Arg(16);
+BENCHMARK(BM_AccumulateDenseWalk)->Arg(4)->Arg(12)->Arg(16);
+BENCHMARK(BM_AccumulateRowKernel)->Arg(4)->Arg(12)->Arg(16);
+
+/// The cut sweep on a wide band, whose C tiles run from a few nonzeros at
+/// the band edge to full on the diagonal.
+void BM_AccumulateCut(benchmark::State& state) {
+  time_accumulate(state, gen::banded(4000, 12, 78), static_cast<index_t>(state.range(0)),
+                  simd::numeric_ops(simd::active_level()));
+}
+BENCHMARK(BM_AccumulateCut)->Arg(0)->Arg(16)->Arg(64)->Arg(kTileNnzMax);
 
 // -------------------------------------------------------------- conversion --
 

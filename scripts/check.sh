@@ -283,12 +283,17 @@ stage_simd() {
   echo "=== simd: kernel A/B suites under every forced dispatch level ==="
   # One build, then the bit-identity suites (test_kernel_ab pits the packed
   # pipeline against the scalar oracle; test_simd_dispatch A/Bs every
-  # primitive and the fused bins) re-run with TSG_SIMD forcing each level.
-  # Levels the host cannot execute are skipped with a notice — the CI job is
-  # green on any x86-64, exhaustive on AVX-512 hardware.
+  # primitive and the fused bins; test_spgemm_options and test_semiring
+  # check the option grid and the semiring pass against references)
+  # re-run with TSG_SIMD forcing each level. Levels the host cannot execute
+  # are skipped with a notice — the CI job is green on any x86-64,
+  # exhaustive on AVX-512 hardware.
+  local suites=(test_kernel_ab test_simd_dispatch test_spgemm_options test_semiring)
   cmake -B build -S . >/dev/null
-  cmake --build build -j "${JOBS}" --target test_kernel_ab --target test_simd_dispatch \
-    --target bench_micro_kernels
+  local targets=()
+  local t
+  for t in "${suites[@]}" bench_micro_kernels; do targets+=(--target "${t}"); done
+  cmake --build build -j "${JOBS}" "${targets[@]}"
   local available
   available="$(./build/bench/bench_micro_kernels --simd-levels)"
   echo "simd: levels available on this host: ${available//$'\n'/ }"
@@ -299,8 +304,9 @@ stage_simd() {
       continue
     fi
     echo "--- TSG_SIMD=${lvl} ---"
-    TSG_SIMD="${lvl}" ./build/tests/test_kernel_ab --gtest_brief=1
-    TSG_SIMD="${lvl}" ./build/tests/test_simd_dispatch --gtest_brief=1
+    for t in "${suites[@]}"; do
+      TSG_SIMD="${lvl}" "./build/tests/${t}" --gtest_brief=1
+    done
   done
 }
 

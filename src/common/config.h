@@ -24,9 +24,10 @@ inline constexpr index_t kTileDim = 16;
 /// Maximum number of nonzeros a tile can hold (kTileDim^2).
 inline constexpr index_t kTileNnzMax = kTileDim * kTileDim;
 
-/// Adaptive accumulator threshold `tnnz` from Section 3.3: output tiles
-/// with more than 75% of kTileNnzMax nonzeros use the dense accumulator,
-/// the rest use the sparse (popcount-indexed) accumulator.
+/// The paper's adaptive accumulator threshold `tnnz` (Section 3.3): output
+/// tiles with more than 75% of kTileNnzMax nonzeros take its dense
+/// accumulator. Step 3 does not switch on it (DESIGN.md §4); it serves as
+/// the default nnz cap of the unbinned fused path.
 inline constexpr index_t kAccumulatorThreshold = kTileNnzMax * 3 / 4;  // 192
 
 /// Number of cost bins the SpgemmContext scheduler partitions C tiles into

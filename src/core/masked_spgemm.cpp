@@ -1,7 +1,6 @@
 #include "core/masked_spgemm.h"
 
 #include <new>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -52,6 +51,7 @@ template <class T>
 Expected<TileMatrix<T>> SpgemmContext::try_run_masked(const TileMatrix<T>& a,
                                                       const TileMatrix<T>& b,
                                                       const TileMatrix<T>& mask) {
+  const ThreadScope threads(*this);
   if (a.cols != b.rows) {
     return Status::dimension_mismatch("masked spgemm: inner dimensions differ (A is " +
                                       std::to_string(a.rows) + "x" + std::to_string(a.cols) +
@@ -93,8 +93,6 @@ TileMatrix<T> SpgemmContext::run_masked(const TileMatrix<T>& a, const TileMatrix
 template <class T>
 TileMatrix<T> SpgemmContext::run_masked_impl(const TileMatrix<T>& a, const TileMatrix<T>& b,
                                              const TileMatrix<T>& mask) {
-  std::optional<ThreadCountGuard> guard;
-  if (config().threads > 0) guard.emplace(config().threads);
   const TileSpgemmOptions& options = config().options;
 
   SpgemmWorkspace<T>& ws = workspace<T>();

@@ -20,18 +20,8 @@ enum class SymbolicKernel {
   kScalar,
 };
 
-/// Accumulator selection for step 3.
-enum class AccumulatorPolicy {
-  kAdaptive,      ///< sparse below tnnz, dense above (the paper's method)
-  kAlwaysSparse,  ///< ablation: force the popcount-indexed sparse path
-  kAlwaysDense,   ///< ablation: force the 256-slot dense path
-};
-
 struct TileSpgemmOptions {
   SymbolicKernel symbolic = SymbolicKernel::kWordPacked;
-  AccumulatorPolicy accumulator = AccumulatorPolicy::kAdaptive;
-  /// Dense-accumulator threshold; the paper uses 192 (75% of 256).
-  index_t tnnz = kAccumulatorThreshold;
   /// Cache the matched tile pairs found by step 2 so step 3 skips its
   /// re-intersection. The paper deliberately recomputes instead (its GPU
   /// kernels keep *zero* global intermediate state); caching trades

@@ -33,6 +33,7 @@ namespace tsg {
 template <class Semiring, class T>
 TileMatrix<T> tile_spgemm_semiring(SpgemmContext& ctx, const TileMatrix<T>& a,
                                    const TileMatrix<T>& b) {
+  const SpgemmContext::ThreadScope threads(ctx);
   if (a.cols != b.rows) {
     throw Error(Status::dimension_mismatch("tile_spgemm_semiring: inner dimensions differ"));
   }

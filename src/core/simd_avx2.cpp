@@ -123,7 +123,10 @@ void materialize_avx2(const rowmask_t* mask_c, std::uint8_t* row_idx,
 }
 
 constexpr SymbolicOps kSym = {&mask_or_avx2, &derive_avx2};
-constexpr NumericOps kNum = {&compress_avx2_d, &compress_avx2_f, &materialize_avx2};
+// The accumulate is the per-bit walk: an AVX2 row kernel (masked load,
+// permute expand, blend) lost to it on sparse B rows (docs/PERFORMANCE.md).
+constexpr NumericOps kNum = {&compress_avx2_d, &compress_avx2_f, &materialize_avx2,
+                             &detail::accumulate_walk_d, &detail::accumulate_walk_f};
 
 }  // namespace
 

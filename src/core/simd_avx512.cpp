@@ -3,7 +3,9 @@
 // workarounds: compare-and-blend mask selection becomes k-register ops,
 // and the compress/materialize emulations become single vpcompress /
 // masked-store instructions with *exact* store widths (safe to target
-// shared output directly). Reached only through runtime CPUID dispatch.
+// shared output directly). Expand-loads also give the accumulate a row
+// kernel, which the AVX2 level lacks. Reached only through runtime CPUID
+// dispatch.
 #include "core/simd_dispatch.h"
 #include "core/simd_x86.h"
 
@@ -92,8 +94,54 @@ void materialize_avx512(const rowmask_t* mask_c, std::uint8_t* row_idx,
   }
 }
 
+// B-row multiply-add: an expand-load places B's packed row values in the
+// lanes of its mask (reading exactly popcount values), the product is
+// rounded by its own vmulpd/vmulps, and the mask-gated add leaves every
+// other lane's bits alone. A double row is two 8-lane halves; a half whose
+// mask byte is empty is skipped without touching its lanes.
+void accumulate_avx512_d(const std::uint8_t* a_row, const std::uint8_t* a_col,
+                         const double* a_val, index_t a_nnz, const std::uint8_t* b_row_ptr,
+                         const rowmask_t* b_mask, const double* b_val, double* acc) {
+  for (index_t k = 0; k < a_nnz; ++k) {
+    const unsigned m = b_mask[a_col[k]];
+    if (m == 0) continue;
+    const double* bv = b_val + b_row_ptr[a_col[k]];
+    double* row = acc + static_cast<std::size_t>(a_row[k]) * kTileDim;
+    const __m512d va = _mm512_set1_pd(a_val[k]);
+    const auto lo = static_cast<__mmask8>(m & 0xFFu);
+    const auto hi = static_cast<__mmask8>(m >> 8);
+    if (lo != 0) {
+      const __m512d prod = _mm512_mul_pd(va, _mm512_maskz_expandloadu_pd(lo, bv));
+      const __m512d r = _mm512_loadu_pd(row);
+      _mm512_storeu_pd(row, _mm512_mask_add_pd(r, lo, r, prod));
+    }
+    if (hi != 0) {
+      const double* bv_hi = bv + std::popcount(static_cast<unsigned>(lo));
+      const __m512d prod = _mm512_mul_pd(va, _mm512_maskz_expandloadu_pd(hi, bv_hi));
+      const __m512d r = _mm512_loadu_pd(row + 8);
+      _mm512_storeu_pd(row + 8, _mm512_mask_add_pd(r, hi, r, prod));
+    }
+  }
+}
+
+void accumulate_avx512_f(const std::uint8_t* a_row, const std::uint8_t* a_col,
+                         const float* a_val, index_t a_nnz, const std::uint8_t* b_row_ptr,
+                         const rowmask_t* b_mask, const float* b_val, float* acc) {
+  for (index_t k = 0; k < a_nnz; ++k) {
+    const auto m = static_cast<__mmask16>(b_mask[a_col[k]]);
+    if (m == 0) continue;
+    float* row = acc + static_cast<std::size_t>(a_row[k]) * kTileDim;
+    const __m512 prod =
+        _mm512_mul_ps(_mm512_set1_ps(a_val[k]),
+                      _mm512_maskz_expandloadu_ps(m, b_val + b_row_ptr[a_col[k]]));
+    const __m512 r = _mm512_loadu_ps(row);
+    _mm512_storeu_ps(row, _mm512_mask_add_ps(r, m, r, prod));
+  }
+}
+
 constexpr SymbolicOps kSym = {&mask_or_avx512, &derive_avx512};
-constexpr NumericOps kNum = {&compress_avx512_d, &compress_avx512_f, &materialize_avx512};
+constexpr NumericOps kNum = {&compress_avx512_d, &compress_avx512_f, &materialize_avx512,
+                             &accumulate_avx512_d, &accumulate_avx512_f};
 
 }  // namespace
 

@@ -7,6 +7,40 @@
 #include "obs/log.h"
 
 namespace tsg::simd {
+namespace detail {
+
+// The per-bit walk of the accumulate contract, the oracle the vector
+// levels are tested against. It serves kSwar and kAvx2 too: a word-packed
+// form would only regroup the same walk.
+template <class T>
+void accumulate_walk(const std::uint8_t* a_row, const std::uint8_t* a_col, const T* a_val,
+                     index_t a_nnz, const std::uint8_t* b_row_ptr, const rowmask_t* b_mask,
+                     const T* b_val, T* acc) {
+  for (index_t k = 0; k < a_nnz; ++k) {
+    const T va = a_val[k];
+    const T* bv = b_val + b_row_ptr[a_col[k]];
+    T* row = acc + static_cast<std::size_t>(a_row[k]) * kTileDim;
+    unsigned m = b_mask[a_col[k]];
+    while (m != 0) {
+      row[std::countr_zero(m)] += va * *bv++;
+      m &= m - 1;
+    }
+  }
+}
+
+void accumulate_walk_d(const std::uint8_t* a_row, const std::uint8_t* a_col,
+                       const double* a_val, index_t a_nnz, const std::uint8_t* b_row_ptr,
+                       const rowmask_t* b_mask, const double* b_val, double* acc) {
+  accumulate_walk<double>(a_row, a_col, a_val, a_nnz, b_row_ptr, b_mask, b_val, acc);
+}
+void accumulate_walk_f(const std::uint8_t* a_row, const std::uint8_t* a_col,
+                       const float* a_val, index_t a_nnz, const std::uint8_t* b_row_ptr,
+                       const rowmask_t* b_mask, const float* b_val, float* acc) {
+  accumulate_walk<float>(a_row, a_col, a_val, a_nnz, b_row_ptr, b_mask, b_val, acc);
+}
+
+}  // namespace detail
+
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -125,9 +159,11 @@ void compress_swar_f(const float* acc, const rowmask_t* mask_c, float* out) {
 constexpr SymbolicOps kScalarSym = {&mask_or_scalar, &derive_scalar};
 constexpr SymbolicOps kSwarSym = {&mask_or_swar, &derive_swar};
 constexpr NumericOps kScalarNum = {&compress_scalar_d, &compress_scalar_f,
-                                   &::tsg::detail::materialize_tile_indices_scalar};
+                                   &::tsg::detail::materialize_tile_indices_scalar,
+                                   &detail::accumulate_walk_d, &detail::accumulate_walk_f};
 constexpr NumericOps kSwarNum = {&compress_swar_d, &compress_swar_f,
-                                 &::tsg::detail::materialize_tile_indices};
+                                 &::tsg::detail::materialize_tile_indices,
+                                 &detail::accumulate_walk_d, &detail::accumulate_walk_f};
 
 // ---------------------------------------------------------------------------
 // CPUID probes. __builtin_cpu_supports is GCC/Clang on x86; everywhere

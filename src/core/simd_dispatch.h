@@ -3,9 +3,11 @@
 // The 256-bit tile bitmask (16 x 16-bit row masks, Section 3.2 of the
 // paper) is exactly one AVX2 ymm register, which makes the symbolic
 // mask-OR / popcount / prefix-sum walk and the numeric dense-accumulator
-// compress natural vector kernels. This header names the dispatch levels
-// and the two per-level operation tables; selection happens once per call
-// (never per tile) in step2/step3:
+// compress natural vector kernels; a 16-lane row of the dense accumulator
+// is one AVX-512 register of floats (two of doubles), which makes the
+// B-row multiply-add one masked vector update per A nonzero. This header
+// names the dispatch levels and the two per-level operation tables;
+// selection happens once per call (never per tile) in step2/step3:
 //
 //   kScalar  — the per-row/per-bit reference kernels (the A/B oracle)
 //   kSwar    — PR 5's word-packed uint64[4] kernels (common/bitops.h)
@@ -13,9 +15,11 @@
 //   kAvx512  — masked/compress kernels (AVX-512 F+BW+VL, probe __AVX512F__)
 //
 // Every level is bit-identical to kScalar by construction: the vector
-// kernels reorder *reads* (mask ORs, popcounts, compress permutes), never
-// floating-point accumulation, and tests/test_simd_dispatch.cpp enforces
-// the identity per primitive and end to end at every available level.
+// kernels reorder *reads* (mask ORs, popcounts, compress permutes, B-row
+// expands), never floating-point accumulation — each output lane still
+// receives its products one at a time, multiply rounded before add, in the
+// scalar walk's order — and tests/test_simd_dispatch.cpp enforces the
+// identity per primitive and end to end at every available level.
 //
 // Level resolution: `detected_level()` probes CPUID once (clamped to what
 // this build compiled in); `TSG_SIMD=scalar|swar|avx2|avx512` overrides it
@@ -71,11 +75,28 @@ struct SymbolicOps {
 /// Materialize contract: writes *exactly* popcount(mask) bytes at
 /// row_idx / col_idx — these point into C's shared arrays where an
 /// over-wide store would race the adjacent tile on another thread.
+///
+/// Accumulate contract (one matched pair, Algorithm 3 lines 4-12): for each
+/// of A's `a_nnz` nonzeros k in storage order — local row a_row[k], column
+/// a_col[k], value a_val[k] — add a_val[k] times B's tile row a_col[k] into
+/// row a_row[k] of the row-major dense 16x16 `acc`. B's row c holds
+/// popcount(b_mask[c]) values at b_val + b_row_ptr[c] in column order, and
+/// only the lanes set in b_mask[c] change: each gets acc + a*b with the
+/// product rounded before the add, so every level matches the scalar walk
+/// bit for bit. Lanes outside the mask keep their bits; rows no product
+/// reaches are neither read nor written (callers zero only C's occupied
+/// rows). B's values are never read past the row's last value.
 struct NumericOps {
   void (*compress_d)(const double* acc, const rowmask_t* mask_c, double* out);
   void (*compress_f)(const float* acc, const rowmask_t* mask_c, float* out);
   void (*materialize)(const rowmask_t* mask_c, std::uint8_t* row_idx,
                       std::uint8_t* col_idx);
+  void (*accumulate_d)(const std::uint8_t* a_row, const std::uint8_t* a_col,
+                       const double* a_val, index_t a_nnz, const std::uint8_t* b_row_ptr,
+                       const rowmask_t* b_mask, const double* b_val, double* acc);
+  void (*accumulate_f)(const std::uint8_t* a_row, const std::uint8_t* a_col,
+                       const float* a_val, index_t a_nnz, const std::uint8_t* b_row_ptr,
+                       const rowmask_t* b_mask, const float* b_val, float* acc);
 };
 
 /// Operation tables for a level. Levels the build or host cannot execute
@@ -124,6 +145,15 @@ struct LevelKernels {
 LevelKernels avx2_kernels();    // simd_avx2.cpp
 LevelKernels avx512_kernels();  // simd_avx512.cpp
 
+/// The scalar accumulate walk (simd_dispatch.cpp), shared by every level
+/// without a vector accumulate kernel.
+void accumulate_walk_d(const std::uint8_t* a_row, const std::uint8_t* a_col,
+                       const double* a_val, index_t a_nnz, const std::uint8_t* b_row_ptr,
+                       const rowmask_t* b_mask, const double* b_val, double* acc);
+void accumulate_walk_f(const std::uint8_t* a_row, const std::uint8_t* a_col,
+                       const float* a_val, index_t a_nnz, const std::uint8_t* b_row_ptr,
+                       const rowmask_t* b_mask, const float* b_val, float* acc);
+
 }  // namespace detail
 
 /// Value-typed front end for the compress table entry: double/float go
@@ -146,6 +176,23 @@ inline void compress_tile(const NumericOps& ops, const T* acc, const rowmask_t* 
         w &= w - 1;
       }
     }
+  }
+}
+
+/// Value-typed front end for the accumulate table entries. Unlike
+/// compress_tile there is no generic fallback: only the double and float
+/// pipelines accumulate through the dense path.
+template <class T>
+inline void accumulate_tile(const NumericOps& ops, const std::uint8_t* a_row,
+                            const std::uint8_t* a_col, const T* a_val, index_t a_nnz,
+                            const std::uint8_t* b_row_ptr, const rowmask_t* b_mask,
+                            const T* b_val, T* acc) {
+  static_assert(std::is_same_v<T, double> || std::is_same_v<T, float>,
+                "the accumulate kernels take double or float values");
+  if constexpr (std::is_same_v<T, double>) {
+    ops.accumulate_d(a_row, a_col, a_val, a_nnz, b_row_ptr, b_mask, b_val, acc);
+  } else {
+    ops.accumulate_f(a_row, a_col, a_val, a_nnz, b_row_ptr, b_mask, b_val, acc);
   }
 }
 

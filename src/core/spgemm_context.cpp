@@ -367,9 +367,6 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
   if (obs::metrics_detail_enabled()) {
     before.emplace(obs::MetricsRegistry::instance().snapshot());
   }
-  std::optional<ThreadCountGuard> guard;
-  if (cfg_.threads > 0) guard.emplace(cfg_.threads);
-
   SpgemmWorkspace<T>& ws = workspace<T>();
   ws.ensure_threads(max_workers());
   ws.begin_call();
@@ -620,6 +617,7 @@ void SpgemmContext::run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
 template <class T>
 Expected<TileSpgemmResult<T>> SpgemmContext::try_run(const TileMatrix<T>& a,
                                                      const TileMatrix<T>& b) {
+  const ThreadScope threads(*this);
   if (a.cols != b.rows) {
     return Status::dimension_mismatch("spgemm: inner dimensions differ (A is " +
                                       std::to_string(a.rows) + "x" + std::to_string(a.cols) +
@@ -650,6 +648,7 @@ TileSpgemmResult<T> SpgemmContext::run(const TileMatrix<T>& a, const TileMatrix<
 
 template <class T>
 Expected<TileSpgemmResult<T>> SpgemmContext::try_run_aat(const TileMatrix<T>& a) {
+  const ThreadScope threads(*this);
   TileMatrix<T> at;
   double transpose_ms = 0.0;
   try {
@@ -672,6 +671,7 @@ TileSpgemmResult<T> SpgemmContext::run_aat(const TileMatrix<T>& a) {
 
 template <class T>
 TileMatrix<T> SpgemmContext::to_tile(const Csr<T>& m) {
+  const ThreadScope threads(*this);
   Timer timer;
   TileMatrix<T> tile = csr_to_tile(m);
   pending_convert_ms_ += timer.milliseconds();
@@ -681,6 +681,7 @@ TileMatrix<T> SpgemmContext::to_tile(const Csr<T>& m) {
 template <class T>
 Expected<Csr<T>> SpgemmContext::try_run_csr(const Csr<T>& a, const Csr<T>& b,
                                             TileSpgemmTimings* timings) {
+  const ThreadScope threads(*this);
   if (a.cols != b.rows) {
     return Status::dimension_mismatch("spgemm: inner dimensions differ (A is " +
                                       std::to_string(a.rows) + "x" + std::to_string(a.cols) +

@@ -46,9 +46,11 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <utility>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/status.h"
 #include "core/spgemm_workspace.h"
 #include "core/tile_spgemm.h"
@@ -64,11 +66,12 @@ class SpgemmContext {
   ///                           .with_pair_cache(true)
   ///                           .with_fused_path(true));
   struct Config {
-    /// Kernel options (symbolic kernel, accumulator policy, tnnz, pair
-    /// caching, SIMD level) — defaults follow the paper.
+    /// Kernel options (symbolic kernel, pair caching, SIMD level) —
+    /// defaults follow the paper.
     TileSpgemmOptions options{};
-    /// Worker threads for this context's runs; 0 keeps the library-wide
-    /// setting (set_num_threads / OMP_NUM_THREADS).
+    /// Worker threads for everything a call on this context runs —
+    /// validation, conversion and every step (see ThreadScope); 0 keeps
+    /// the library-wide setting (set_num_threads / OMP_NUM_THREADS).
     int threads = 0;
     /// Cost-bin the C tiles by estimated intersection work and visit heavy
     /// bins first. Pure scheduling: results are bit-identical either way.
@@ -128,8 +131,6 @@ class SpgemmContext {
     CancelToken cancel_token;
 
     Config& with_options(const TileSpgemmOptions& o) { options = o; return *this; }
-    Config& with_accumulator(AccumulatorPolicy p) { options.accumulator = p; return *this; }
-    Config& with_tnnz(index_t t) { options.tnnz = t; return *this; }
     Config& with_pair_cache(bool on) { options.cache_pairs = on; return *this; }
     Config& with_pair_cache_min_bin(int bin) { pair_cache_min_bin = bin; return *this; }
     Config& with_symbolic(SymbolicKernel k) { options.symbolic = k; return *this; }
@@ -182,6 +183,21 @@ class SpgemmContext {
   /// balanced, and the context stays reusable.
   void set_cancel_token(CancelToken t) { cancel_ = std::move(t); }
   const CancelToken& cancel_token() const { return cancel_; }
+
+  /// Applies Config::threads, when set, for its lifetime. Every public
+  /// entry point opens one first, so validation, conversion and all steps
+  /// run on the configured count; nested scopes restore what they found.
+  /// Public for kernel extensions (semiring header) that drive the steps
+  /// themselves.
+  class ThreadScope {
+   public:
+    explicit ThreadScope(const SpgemmContext& ctx) {
+      if (ctx.cfg_.threads > 0) guard_.emplace(ctx.cfg_.threads);
+    }
+
+   private:
+    std::optional<ThreadCountGuard> guard_;
+  };
 
   /// Raise kCancelled/kDeadlineExceeded when the active token tripped —
   /// the serial pipeline layer's check at stage boundaries (parallel

@@ -53,10 +53,10 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
   const bool detail_metrics = obs::metrics_detail_enabled();
   static obs::Counter& m_pairs =
       obs::MetricsRegistry::instance().counter("spgemm.intersect.pairs");
-  static obs::Counter& m_fused_dense =
-      obs::MetricsRegistry::instance().counter("spgemm.accumulator.dense");
-  static obs::Counter& m_fused_sparse =
-      obs::MetricsRegistry::instance().counter("spgemm.accumulator.sparse");
+  static obs::Counter& m_fused_rows =
+      obs::MetricsRegistry::instance().counter("spgemm.accumulate.row_kernel");
+  static obs::Counter& m_fused_scatter =
+      obs::MetricsRegistry::instance().counter("spgemm.accumulate.rank_scatter");
   static obs::Histogram& m_tile_nnz = obs::MetricsRegistry::instance().histogram(
       "spgemm.tile_nnz", {0, 4, 16, 64, 128, 256});
 
@@ -203,15 +203,10 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
       // accumulate the values now and stage them in this thread's buffer;
       // step 3 only copies them to their final home.
       T vals[kTileNnzMax];
-      for (index_t k = 0; k < count; ++k) vals[k] = T{};
-      if (detail::use_dense_accumulator(options, count)) {
-        detail::accumulate_pairs_dense(a, b, pairs.data(), pairs.size(), mask_src, vals,
-                                       nops);
-        if (detail_metrics) m_fused_dense.inc();
-      } else {
-        detail::accumulate_pairs_sparse(a, b, pairs.data(), pairs.size(), mask_src,
-                                        rp_src, vals);
-        if (detail_metrics) m_fused_sparse.inc();
+      const detail::AccumulatePath path = detail::accumulate_tile_values(
+          a, b, pairs.data(), pairs.size(), mask_src, rp_src, count, vals, nops);
+      if (detail_metrics) {
+        (path == detail::AccumulatePath::kRankScatter ? m_fused_scatter : m_fused_rows).inc();
       }
       ws.staged_slot[static_cast<std::size_t>(t)] = {
           static_cast<std::uint32_t>(tid), static_cast<offset_t>(slot.staged.size()),

@@ -32,10 +32,10 @@ void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
   // Per-tile detail instruments (see step2.cpp); the gate is read once per
   // call so the hot loop branches on a local bool.
   const bool detail_metrics = obs::metrics_detail_enabled();
-  static obs::Counter& m_dense =
-      obs::MetricsRegistry::instance().counter("spgemm.accumulator.dense");
-  static obs::Counter& m_sparse =
-      obs::MetricsRegistry::instance().counter("spgemm.accumulator.sparse");
+  static obs::Counter& m_rows =
+      obs::MetricsRegistry::instance().counter("spgemm.accumulate.row_kernel");
+  static obs::Counter& m_scatter =
+      obs::MetricsRegistry::instance().counter("spgemm.accumulate.rank_scatter");
   static obs::Histogram& m_visit_us = obs::MetricsRegistry::instance().histogram(
       "spgemm.tile_visit_us", {1, 2, 5, 10, 25, 50, 100, 1000});
 
@@ -107,16 +107,11 @@ void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
       pair_count = pairs.size();
     }
 
-    // Only the first nnz_c slots are ever read; zeroing the full 256 would
-    // dominate the runtime of hyper-sparse-tile matrices (cop20k_A class).
     T slots[kTileNnzMax];
-    for (index_t k = 0; k < nnz_c; ++k) slots[k] = T{};
-    if (detail::use_dense_accumulator(options, nnz_c)) {
-      detail::accumulate_pairs_dense(a, b, pair_data, pair_count, mask_c, slots, nops);
-      if (detail_metrics) m_dense.inc();
-    } else {
-      detail::accumulate_pairs_sparse(a, b, pair_data, pair_count, mask_c, row_ptr_c, slots);
-      if (detail_metrics) m_sparse.inc();
+    const detail::AccumulatePath path = detail::accumulate_tile_values(
+        a, b, pair_data, pair_count, mask_c, row_ptr_c, nnz_c, slots, nops);
+    if (detail_metrics) {
+      (path == detail::AccumulatePath::kRankScatter ? m_scatter : m_rows).inc();
     }
     for (index_t k = 0; k < nnz_c; ++k) {
       c.val[static_cast<std::size_t>(nz_base + k)] = slots[k];

@@ -1,13 +1,12 @@
 // Step 3 of TileSpGEMM (Algorithm 3): the numeric phase. For every tile of
 // C the matched tile pairs are re-gathered (the intersection is cheap and
 // re-running it avoids storing pair lists in global memory, as on the GPU)
-// and the products are accumulated with an adaptively chosen accumulator:
-//
-//   * sparse (nnz <= tnnz): the column layout of the C tile is already known
-//     from the step-2 masks, so each product is scattered directly to its
-//     final slot via popcount-rank indexing — no temporary space at all.
-//   * dense  (nnz >  tnnz): a 256-slot accumulator on the stack, compressed
-//     through the mask afterwards.
+// and the products are accumulated into a dense 16x16 tile on the stack,
+// one dispatched B-row multiply-add per A nonzero (only the lanes in B's
+// row mask change), then compressed through C's masks. This departs from
+// the paper's tnnz = 192 switch between a sparse and a dense accumulator
+// (DESIGN.md says why); only tiles of at most detail::kRankScatterMaxNnz
+// nonzeros keep the rank-indexed scatter straight into their final slots.
 //
 // When the ExecutionPlan enabled the pair cache, step 2 left each tile's
 // matched pairs in the workspace and this pass skips the re-intersection;

@@ -164,16 +164,20 @@ Csr<T> tile_to_csr(const TileMatrix<T>& t) {
   a.col_idx.resize(n);
   a.val.resize(n);
 
-  // Count nonzeros per original row from the masks.
-  for (index_t tr = 0; tr < t.tile_rows; ++tr) {
+  // Count nonzeros per original row from the masks. Each tile row writes
+  // only its own rows' entries. Both passes skip empty tiles: step 1 keeps
+  // candidate tiles that step 2 finds empty, and on hyper-sparse products
+  // they are most of C's tiles.
+  parallel_for(index_t{0}, t.tile_rows, [&](index_t tr) {
     for (offset_t tile = t.tile_ptr[tr]; tile < t.tile_ptr[tr + 1]; ++tile) {
+      if (t.tile_nnz_of(tile) == 0) continue;
       const rowmask_t* m = t.tile_mask(tile);
       for (index_t r = 0; r < kTileDim; ++r) {
         const index_t row = tr * kTileDim + r;
         if (row < t.rows) a.row_ptr[row + 1] += popcount16(m[r]);
       }
     }
-  }
+  });
   for (index_t i = 0; i < t.rows; ++i) a.row_ptr[i + 1] += a.row_ptr[i];
 
   // Scatter: tiles within a tile row are sorted by column, so appending in
@@ -181,6 +185,7 @@ Csr<T> tile_to_csr(const TileMatrix<T>& t) {
   tracked_vector<offset_t> cursor(a.row_ptr.begin(), a.row_ptr.end() - 1);
   parallel_for(index_t{0}, t.tile_rows, [&](index_t tr) {
     for (offset_t tile = t.tile_ptr[tr]; tile < t.tile_ptr[tr + 1]; ++tile) {
+      if (t.tile_nnz_of(tile) == 0) continue;
       const index_t col_base = t.tile_col_idx[tile] * kTileDim;
       for (index_t r = 0; r < kTileDim; ++r) {
         const index_t row = tr * kTileDim + r;

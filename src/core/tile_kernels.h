@@ -10,7 +10,6 @@
 #include <cstdint>
 
 #include "core/intersect.h"
-#include "core/options.h"
 #include "core/simd_dispatch.h"
 #include "core/tile_format.h"
 
@@ -49,34 +48,32 @@ inline void accumulate_pairs_sparse(const TileMatrix<T>& a, const TileMatrix<T>&
 }
 
 /// Accumulate into a dense 16x16 scratch tile, then compress through the
-/// mask (Algorithm 3 lines 13-17). The accumulation order is fixed — only
-/// the compress (a pure gather) goes through the dispatched `nops`, which
-/// is what keeps every simd::Level bit-identical. `slots` must have
-/// capacity kTileNnzMax (vector compress may store past the final count).
+/// mask (Algorithm 3 lines 13-17). Only C's occupied rows are zeroed: a
+/// product can land only in a row whose mask is non-zero, the dispatched
+/// kernel touches no other row, and the compress reads none. One
+/// dispatched call per matched pair does the multiply-adds, each lane in
+/// the scalar walk's (pair, A-nonzero) order, so every simd::Level is
+/// bit-identical. `slots` must have capacity kTileNnzMax (vector compress
+/// may store past the final count).
 template <class T>
 inline void accumulate_pairs_dense(const TileMatrix<T>& a, const TileMatrix<T>& b,
                                    const MatchedPair* pairs, std::size_t pair_count,
                                    const rowmask_t* mask_c, T* slots,
                                    const simd::NumericOps& nops) {
-  T acc[kTileNnzMax] = {};
+  alignas(64) T acc[kTileNnzMax];
+  for (index_t r = 0; r < kTileDim; ++r) {
+    if (mask_c[r] == 0) continue;
+    T* row = acc + static_cast<std::size_t>(r) * kTileDim;
+    for (index_t c = 0; c < kTileDim; ++c) row[c] = T{};
+  }
   for (std::size_t pi = 0; pi < pair_count; ++pi) {
     const MatchedPair& p = pairs[pi];
-    const offset_t a_nz = a.tile_nnz[p.tile_a];
-    const index_t a_cnt = a.tile_nnz_of(p.tile_a);
-    const offset_t b_nz = b.tile_nnz[p.tile_b];
-    for (index_t k = 0; k < a_cnt; ++k) {
-      const std::size_t ga = static_cast<std::size_t>(a_nz + k);
-      const index_t r = a.row_idx[ga];
-      const index_t col_a = a.col_idx[ga];
-      const T va = a.val[ga];
-      index_t lo, hi;
-      b.tile_row_range(p.tile_b, col_a, lo, hi);
-      T* acc_row = acc + static_cast<std::size_t>(r) * kTileDim;
-      for (index_t kb = lo; kb < hi; ++kb) {
-        const std::size_t gb = static_cast<std::size_t>(b_nz + kb);
-        acc_row[b.col_idx[gb]] += va * b.val[gb];
-      }
-    }
+    const auto a_nz = static_cast<std::size_t>(a.tile_nnz[p.tile_a]);
+    const std::size_t b_tile = static_cast<std::size_t>(p.tile_b) * kTileDim;
+    simd::accumulate_tile<T>(nops, a.row_idx.data() + a_nz, a.col_idx.data() + a_nz,
+                             a.val.data() + a_nz, a.tile_nnz_of(p.tile_a),
+                             b.row_ptr.data() + b_tile, b.mask.data() + b_tile,
+                             b.val.data() + b.tile_nnz[p.tile_b], acc);
   }
   // Compress: the mask's bit order in packed-word form equals the storage
   // order of the tile's nonzeros (with four rows per word, bit b of word
@@ -85,13 +82,32 @@ inline void accumulate_pairs_dense(const TileMatrix<T>& a, const TileMatrix<T>& 
   simd::compress_tile<T>(nops, acc, mask_c, slots);
 }
 
-/// Whether tile-level accumulation should take the dense 256-slot path for
-/// an output tile of `nnz_c` nonzeros under the given options. Keeping the
-/// predicate in one place guarantees the fused step-2 path and the staged
-/// step-3 path choose the same accumulator (so results are bit-identical).
-inline bool use_dense_accumulator(const TileSpgemmOptions& options, index_t nnz_c) {
-  return options.accumulator == AccumulatorPolicy::kAlwaysDense ||
-         (options.accumulator == AccumulatorPolicy::kAdaptive && nnz_c > options.tnnz);
+/// Largest C tile, in nonzeros, whose values go through the rank-indexed
+/// scatter instead of the dense row kernel: up to it, zeroing and
+/// compressing even the occupied rows costs more than ranking each
+/// product into its slot (measured in docs/PERFORMANCE.md). Both paths
+/// accumulate every slot in the same order, so the cut is invisible in the
+/// output.
+inline constexpr index_t kRankScatterMaxNnz = 16;
+
+/// Which path accumulate_tile_values took, for the callers' counters.
+enum class AccumulatePath { kRankScatter, kRowKernel };
+
+/// Values of one C tile of `nnz_c` nonzeros into `slots` (capacity
+/// kTileNnzMax): the one accumulate step 3 and the fused step-2 path share.
+template <class T>
+inline AccumulatePath accumulate_tile_values(const TileMatrix<T>& a, const TileMatrix<T>& b,
+                                             const MatchedPair* pairs, std::size_t pair_count,
+                                             const rowmask_t* mask_c,
+                                             const std::uint8_t* row_ptr_c, index_t nnz_c,
+                                             T* slots, const simd::NumericOps& nops) {
+  if (nnz_c <= kRankScatterMaxNnz) {
+    for (index_t k = 0; k < nnz_c; ++k) slots[k] = T{};
+    accumulate_pairs_sparse(a, b, pairs, pair_count, mask_c, row_ptr_c, slots);
+    return AccumulatePath::kRankScatter;
+  }
+  accumulate_pairs_dense(a, b, pairs, pair_count, mask_c, slots, nops);
+  return AccumulatePath::kRowKernel;
 }
 
 /// Materialise a tile's local row/column index arrays from its 16 row

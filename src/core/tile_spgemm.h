@@ -3,7 +3,7 @@
 //   1. symbolic SpGEMM on the tile layouts -> tile structure of C
 //   2. per-tile set intersection + bit-mask symbolic -> nnz / row pointers /
 //      masks of every C tile; allocate C once
-//   3. numeric phase with an adaptive sparse/dense accumulator
+//   3. numeric phase: a dispatched B-row multiply-add into a dense tile
 //
 // Public entry points:
 //   * SpgemmContext  — the execution engine (spgemm_context.h): pooled

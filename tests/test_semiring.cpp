@@ -2,6 +2,7 @@
 // brute-force semiring products.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <limits>
 
 #include "common/random.h"
@@ -91,6 +92,37 @@ TEST(Semiring, MaxTimes) {
   // Probabilities in (0,1]: max-times = most reliable two-hop path.
   Csr<double> a = gen::erdos_renyi(60, 60, 400, 6, {0.05, 1.0});
   check_semiring<MaxTimes<double>>(a, a, "max-times");
+}
+
+/// Plus-times that records, from inside the numeric pass, the largest
+/// worker rank and worker bound it ran under.
+struct WorkerRecordingPlusTimes {
+  static inline std::atomic<int> max_rank{0};
+  static inline std::atomic<int> max_bound{0};
+  static void raise(std::atomic<int>& seen, int v) {
+    int cur = seen.load(std::memory_order_relaxed);
+    while (v > cur && !seen.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+    }
+  }
+  static double identity() { return 0.0; }
+  static double combine(double a, double b) {
+    raise(max_rank, worker_rank());
+    raise(max_bound, max_workers());
+    return a * b;
+  }
+  static double reduce(double a, double b) { return a + b; }
+};
+
+TEST(Semiring, ContextThreadCountReachesTheSemiringPass) {
+  // A context configured for one thread runs the whole semiring multiply
+  // on one thread, even in a process set to four.
+  const ThreadCountGuard process(4);
+  const TileMatrix<double> t = csr_to_tile(gen::erdos_renyi(1200, 1200, 12000, 77));
+  SpgemmContext ctx(SpgemmContext::Config{}.with_threads(1));
+  (void)tile_spgemm_semiring<WorkerRecordingPlusTimes>(ctx, t, t);
+  EXPECT_EQ(WorkerRecordingPlusTimes::max_rank.load(), 0);
+  EXPECT_EQ(WorkerRecordingPlusTimes::max_bound.load(), 1);
+  EXPECT_EQ(num_threads(), 4) << "the context must restore the process setting";
 }
 
 TEST(Semiring, SpmvMinPlusRelaxation) {

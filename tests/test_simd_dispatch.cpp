@@ -6,7 +6,13 @@
 // promise — the vector kernels reorder reads, never accumulation.
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -203,6 +209,182 @@ TEST(SimdPrimitives, MaterializeIsExactWidthAndMatchesOracle) {
       }
     }
   }
+}
+
+/// Exactly `n` values of T whose last one ends at a page boundary, with an
+/// inaccessible page after it: a kernel that reads past B's last value
+/// faults here instead of passing silently.
+template <class T>
+class GuardedValues {
+ public:
+  explicit GuardedValues(std::size_t n) {
+    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    span_ = (n * sizeof(T) + page - 1) / page * page + page;
+    void* base = mmap(nullptr, span_, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (base == MAP_FAILED) throw std::bad_alloc();
+    base_ = static_cast<char*>(base);
+    if (mprotect(base_ + span_ - page, page, PROT_NONE) != 0) {
+      munmap(base_, span_);
+      throw std::bad_alloc();
+    }
+    data_ = reinterpret_cast<T*>(base_ + span_ - page) - n;
+  }
+  ~GuardedValues() { munmap(base_, span_); }
+  GuardedValues(const GuardedValues&) = delete;
+  GuardedValues& operator=(const GuardedValues&) = delete;
+
+  T* data() { return data_; }
+
+ private:
+  char* base_ = nullptr;
+  std::size_t span_ = 0;
+  T* data_ = nullptr;
+};
+
+/// A value for the accumulate tests: mostly ordinary, with every IEEE
+/// special a product or sum can meet.
+template <class T>
+T special_value(Xoshiro256& rng) {
+  using L = std::numeric_limits<T>;
+  switch (rng.next_below(12)) {
+    case 0: return T{-0.0};
+    case 1: return T{0.0};
+    case 2: return L::infinity();
+    case 3: return -L::infinity();
+    case 4: return rng.next_below(2) == 0 ? L::quiet_NaN() : -L::quiet_NaN();
+    case 5: return L::denorm_min() * static_cast<T>(1 + rng.next_below(1000));
+    case 6: return L::min() * static_cast<T>(rng.next_double());  // subnormal or zero
+    case 7: return (rng.next_below(2) == 0 ? T{1} : T{-1}) * L::max() / T{2};
+    default: return static_cast<T>(rng.next_double() * 4.0 - 2.0);
+  }
+}
+
+/// Bit equality, except that any two NaNs match: when both operands of a
+/// multiply or add are NaN, x86 returns the first one, and the operand
+/// order of a commutative operation is the compiler's choice, not the
+/// source's.
+template <class T>
+bool same_value_bits(T x, T y) {
+  if (std::isnan(x) && std::isnan(y)) return true;
+  return std::memcmp(&x, &y, sizeof(T)) == 0;
+}
+
+template <class T>
+void check_accumulate_level() {
+  const simd::NumericOps& oracle = simd::numeric_ops(simd::Level::kScalar);
+  Xoshiro256 rng(sizeof(T) == 8 ? 0xA55 : 0xA56);
+  for (int trial = 0; trial < 300; ++trial) {
+    // A's tile: nonzeros of random masks in storage order.
+    alignas(32) rowmask_t mask_a[kTileDim];
+    random_masks(rng, mask_a);
+    std::uint8_t a_row[kTileNnzMax], a_col[kTileNnzMax];
+    T a_val[kTileNnzMax];
+    index_t a_nnz = 0;
+    for (int r = 0; r < kTileDim; ++r) {
+      for (int c = 0; c < kTileDim; ++c) {
+        if (((mask_a[r] >> c) & 1) == 0) continue;
+        a_row[a_nnz] = static_cast<std::uint8_t>(r);
+        a_col[a_nnz] = static_cast<std::uint8_t>(c);
+        a_val[a_nnz] = special_value<T>(rng);
+        ++a_nnz;
+      }
+    }
+    // B's tile: row pointers from its masks, values packed in an
+    // exactly sized buffer, so its last non-empty row ends the buffer.
+    alignas(32) rowmask_t b_mask[kTileDim];
+    random_masks(rng, b_mask);
+    if (trial == 0) {
+      // One value in the last row: a kernel loading a whole vector of the
+      // row would read past the buffer.
+      std::memset(b_mask, 0, sizeof(b_mask));
+      b_mask[kTileDim - 1] = 0x0001;
+      a_nnz = 1;
+      a_row[0] = 0;
+      a_col[0] = kTileDim - 1;
+      a_val[0] = special_value<T>(rng);
+    }
+    std::uint8_t b_row_ptr[kTileDim];
+    int b_nnz = 0;
+    for (int r = 0; r < kTileDim; ++r) {
+      b_row_ptr[r] = static_cast<std::uint8_t>(b_nnz);
+      b_nnz += popcount16(b_mask[r]);
+    }
+    GuardedValues<T> b_val(static_cast<std::size_t>(b_nnz));
+    for (int k = 0; k < b_nnz; ++k) b_val.data()[k] = special_value<T>(rng);
+
+    alignas(64) T initial[kTileNnzMax];
+    for (T& v : initial) v = special_value<T>(rng);
+    alignas(64) T want[kTileNnzMax];
+    std::memcpy(want, initial, sizeof(want));
+    simd::accumulate_tile<T>(oracle, a_row, a_col, a_val, a_nnz, b_row_ptr, b_mask,
+                             b_val.data(), want);
+    // Lanes some product reaches; every other lane must keep its bits.
+    bool touched[kTileNnzMax] = {};
+    for (index_t k = 0; k < a_nnz; ++k) {
+      for (int c = 0; c < kTileDim; ++c) {
+        if (((b_mask[a_col[k]] >> c) & 1) != 0) touched[a_row[k] * kTileDim + c] = true;
+      }
+    }
+    for (const simd::Level level : available_levels()) {
+      alignas(64) T got[kTileNnzMax];
+      std::memcpy(got, initial, sizeof(got));
+      simd::accumulate_tile<T>(simd::numeric_ops(level), a_row, a_col, a_val, a_nnz,
+                               b_row_ptr, b_mask, b_val.data(), got);
+      for (int i = 0; i < kTileNnzMax; ++i) {
+        ASSERT_TRUE(same_value_bits(got[i], want[i]))
+            << simd::level_name(level) << " trial " << trial << " lane " << i << ": "
+            << got[i] << " vs " << want[i];
+        if (!touched[i]) {
+          ASSERT_EQ(std::memcmp(&got[i], &initial[i], sizeof(T)), 0)
+              << simd::level_name(level) << " trial " << trial << " untouched lane " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdPrimitives, AccumulateDoubleMatchesScalarOracle) { check_accumulate_level<double>(); }
+
+TEST(SimdPrimitives, AccumulateFloatMatchesScalarOracle) { check_accumulate_level<float>(); }
+
+/// Every lane of one C row gets acc + a*b with a*b rounded first. The
+/// inputs are chosen so a fused multiply-add rounds differently: a*b is
+/// 1 - eps^2 exactly, which rounds to 1, so the separately rounded result
+/// is 0 while an FMA keeps -eps^2.
+template <class T>
+void check_accumulate_rounds_product_first(T eps) {
+  const T a = T{1} + eps;
+  const T b = T{1} - eps;
+  volatile T va = a;
+  volatile T vb = b;
+  volatile T prod = va * vb;
+  volatile T sum = prod + T{-1};
+  const T want = sum;
+  ASSERT_EQ(want, T{0});
+  const std::uint8_t a_row[1] = {3};
+  const std::uint8_t a_col[1] = {5};
+  std::uint8_t b_row_ptr[kTileDim] = {};
+  rowmask_t b_mask[kTileDim] = {};
+  b_mask[5] = 0xFFFF;
+  for (int r = 6; r < kTileDim; ++r) b_row_ptr[r] = kTileDim;
+  T b_val[kTileDim];
+  for (T& v : b_val) v = b;
+  for (const simd::Level level : available_levels()) {
+    alignas(64) T acc[kTileNnzMax];
+    for (T& v : acc) v = T{-1};
+    simd::accumulate_tile<T>(simd::numeric_ops(level), a_row, a_col, &a, 1, b_row_ptr, b_mask,
+                             b_val, acc);
+    for (int c = 0; c < kTileDim; ++c) {
+      const T got = acc[3 * kTileDim + c];
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(T)), 0)
+          << simd::level_name(level) << " lane " << c << ": " << got;
+    }
+  }
+}
+
+TEST(SimdPrimitives, AccumulateRoundsProductBeforeAdd) {
+  check_accumulate_rounds_product_first<double>(0x1p-30);
+  check_accumulate_rounds_product_first<float>(0x1p-13f);
 }
 
 // -------------------------------------------------- whole-pipeline identity --

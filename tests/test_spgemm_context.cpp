@@ -193,12 +193,10 @@ TEST(SpgemmContext, ConvertMsIsAttributed) {
 
 TEST(SpgemmContext, ConfigBuilderComposes) {
   const SpgemmContext::Config cfg = SpgemmContext::Config{}
-                                        .with_tnnz(64)
                                         .with_threads(2)
                                         .with_cost_binning(false)
                                         .with_fused_path(true)
                                         .with_fuse_threshold(32);
-  EXPECT_EQ(cfg.options.tnnz, 64);
   EXPECT_TRUE(cfg.options.cache_pairs);  // implied by the fused path
   EXPECT_EQ(cfg.threads, 2);
   EXPECT_FALSE(cfg.cost_binning);

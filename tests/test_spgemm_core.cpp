@@ -3,6 +3,7 @@
 // cancellation zeros are kept; empty tiles from step 1 are tolerated).
 #include <gtest/gtest.h>
 
+#include "core/tile_convert.h"
 #include "core/tile_spgemm.h"
 #include "gen/generators.h"
 #include "matrix/convert.h"
@@ -131,6 +132,16 @@ TEST(TileSpgemmEdge, DimensionNotMultipleOf16) {
   check_against_reference(b, b, run_tile, "n=15");
   const Csr<double> c = gen::erdos_renyi(255, 255, 2000, 112);
   check_against_reference(c, c, run_tile, "n=255");
+  // Hyper-sparse: most of C's tiles are step-1 candidates that step 2
+  // finds empty, which tile_to_csr skips while placing every row of the
+  // tiles it keeps, the partial last tile row's included.
+  const Csr<double> d = gen::erdos_renyi(2003, 2003, 3000, 61);
+  const TileMatrix<double> td = csr_to_tile(d);
+  const TileMatrix<double> tc = tile_spgemm(td, td).c;
+  offset_t empty = 0;
+  for (offset_t t = 0; t < tc.num_tiles(); ++t) empty += tc.tile_nnz_of(t) == 0 ? 1 : 0;
+  ASSERT_GT(2 * empty, tc.num_tiles()) << empty << " of " << tc.num_tiles() << " empty";
+  check_against_reference(d, d, run_tile, "n=2003, mostly empty C tiles");
 }
 
 TEST(TileSpgemmEdge, KeepsCancellationZeros) {

@@ -1,7 +1,7 @@
-// The algorithm's tunables: all accumulator policies and threshold settings
-// must give bit-identical structure and tolerance-identical values — they
-// are performance choices, not semantics. The intersection routines must
-// return exactly the same matched pairs in the same order.
+// The algorithm's tunables: every option setting must give bit-identical
+// structure and tolerance-identical values — they are performance choices,
+// not semantics. The intersection routines must return exactly the same
+// matched pairs in the same order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,21 +40,6 @@ std::vector<OptionsCase> option_grid() {
   std::vector<OptionsCase> grid;
   grid.push_back({"defaults", {}});
   TileSpgemmOptions o;
-  o.accumulator = AccumulatorPolicy::kAlwaysSparse;
-  grid.push_back({"always_sparse", o});
-  o = {};
-  o.accumulator = AccumulatorPolicy::kAlwaysDense;
-  grid.push_back({"always_dense", o});
-  o = {};
-  o.tnnz = 0;  // adaptive but everything lands dense
-  grid.push_back({"tnnz_0", o});
-  o = {};
-  o.tnnz = 255;  // adaptive but everything lands sparse
-  grid.push_back({"tnnz_255", o});
-  o = {};
-  o.tnnz = 1;
-  grid.push_back({"tnnz_1", o});
-  o = {};
   o.cache_pairs = true;
   grid.push_back({"cache_pairs", o});
   return grid;
@@ -62,18 +47,6 @@ std::vector<OptionsCase> option_grid() {
 
 INSTANTIATE_TEST_SUITE_P(Grid, OptionsSweep, ::testing::ValuesIn(option_grid()),
                          [](const auto& info) { return std::string(info.param.name); });
-
-TEST(Options, ThresholdBoundaryTilesAgree) {
-  // Dense 14x14 blocks inside 16x16 tiles -> output tiles have exactly 196
-  // nonzeros, straddling the paper's tnnz=192: adaptive picks dense, while
-  // tnnz=200 picks sparse. Both must agree.
-  const Csr<double> a = gen::dense_blocks(3, 14, 201);
-  TileSpgemmOptions sparse_side;
-  sparse_side.tnnz = 200;
-  const Csr<double> c_dense = spgemm_tile(a, a);  // default tnnz = 192
-  const Csr<double> c_sparse = spgemm_tile(a, a, sparse_side);
-  test::expect_equal(c_dense, c_sparse, "threshold boundary");
-}
 
 // ------------------------------------------------- intersect unit tests --
 
