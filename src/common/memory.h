@@ -13,6 +13,7 @@
 #include <mutex>
 #include <new>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/contracts.h"
@@ -177,6 +178,20 @@ class TrackedAllocator {
   void deallocate(T* p, std::size_t n) noexcept {
     MemoryTracker::instance().sub(n * sizeof(T));
     ::operator delete(p);
+  }
+
+  /// Default-initialises (the default-init allocator idiom): `resize(n)` and
+  /// `tracked_vector<T>(n)` of a trivial type leave the new elements
+  /// unwritten instead of zero-filling them, so a buffer that is overwritten
+  /// right away is touched once, by its writer. A site that reads the zeros
+  /// asks for them: `assign(n, 0)` or `resize(n, 0)`.
+  template <class U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
   }
 
   template <class U>

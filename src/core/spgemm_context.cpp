@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -72,6 +73,66 @@ int bin_of(offset_t cost) {
   return 3;
 }
 
+/// Shape the rows x cols C before any of its entries exist, in the
+/// caller's layout: a CSR C gets its dimensions and row_ptr[0], which the
+/// offset pass counts up from; a tile C its dimensions and step 1's tile
+/// structure.
+template <class T>
+void start_output(index_t rows, index_t cols, const TileStructure& st, TileMatrix<T>& c,
+                  Csr<T>* csr) {
+  if (csr != nullptr) {
+    csr->rows = rows;
+    csr->cols = cols;
+    csr->row_ptr.resize(static_cast<std::size_t>(rows) + 1);
+    csr->row_ptr[0] = 0;
+    csr->col_idx.clear();
+    csr->val.clear();
+    return;
+  }
+  c.rows = rows;
+  c.cols = cols;
+  c.tile_rows = st.tile_rows;
+  c.tile_cols = st.tile_cols;
+  c.tile_ptr = st.tile_ptr;
+  c.tile_col_idx = st.tile_col_idx;
+}
+
+/// Size C's entry arrays for the tile rows [tr_lo, tr_hi) whose symbolic
+/// result step 2 just produced, booked in alloc_ms. CSR: runs the offset
+/// pass into ws.csr_place and grows `*csr` to the band's last row. Tile:
+/// sizes c's row_idx/col_idx/val to the band's nonzeros. Unfilled either
+/// way: step 3's parallel writes touch the arrays first.
+template <class T>
+Step3Output<T> alloc_output(const TileMatrix<T>& a, SpgemmWorkspace<T>& ws,
+                            const Step2Result& symbolic, index_t tr_lo, index_t tr_hi,
+                            TileMatrix<T>& c, Csr<T>* csr, TileSpgemmTimings& tm) {
+  ScopedAccumulator scope(tm.alloc_ms);
+  Step3Output<T> out;
+  if (csr != nullptr) {
+    // The offset pass: C's row pointers for these tile rows, and where each
+    // local row of each non-empty tile lands in them.
+    TSG_TRACE_SPAN("alloc.csr_rows", symbolic.nnz());
+    const TileStructure& st = ws.structure;
+    place_csr_rows(st.tile_ptr.data(), tr_lo, tr_hi, a.rows, symbolic.tile_nnz.data(),
+                   symbolic.mask.data(), csr->row_ptr.data(), ws.csr_place);
+    const auto last_row = std::min<std::size_t>(static_cast<std::size_t>(tr_hi) * kTileDim,
+                                                static_cast<std::size_t>(a.rows));
+    const auto nnz = static_cast<std::size_t>(csr->row_ptr[last_row]);
+    csr->col_idx.resize(nnz);
+    csr->val.resize(nnz);
+    out.csr = csr;
+    out.place = &ws.csr_place;
+    return out;
+  }
+  TSG_TRACE_SPAN("alloc.c");
+  const std::size_t nnz = static_cast<std::size_t>(symbolic.nnz());
+  c.row_idx.resize(nnz);
+  c.col_idx.resize(nnz);
+  c.val.resize(nnz);
+  out.tile = &c;
+  return out;
+}
+
 std::string mb_string(std::size_t bytes) {
   if (bytes == static_cast<std::size_t>(-1)) return "(overflowed) MB";
   char buf[32];
@@ -80,18 +141,15 @@ std::string mb_string(std::size_t bytes) {
 }
 
 /// Guaranteed upper bound on the device-side bytes one C tile needs during
-/// steps 2-3: output staging at the 256-nonzero tile maximum plus whatever
-/// the active plan caches per tile (matched pairs, staged fused values).
-/// Deliberately a bound, not an estimate — chunking decisions made from it
-/// are always safe.
+/// steps 2-3: output staging in the output's layout at the 256-nonzero tile
+/// maximum plus whatever the active plan caches per tile (matched pairs,
+/// staged fused values). Deliberately a bound, not an estimate — chunking
+/// decisions made from it are always safe.
 template <class T>
 std::size_t tile_bytes_bound(const TileMatrix<T>& a, const TileLayoutCsc& b_csc, index_t ti,
                              index_t tj, bool cache_pairs, bool fuse_light,
-                             int fuse_bin_cap) {
-  std::size_t bytes =
-      sizeof(offset_t) +
-      static_cast<std::size_t>(kTileDim) * (sizeof(std::uint8_t) + sizeof(rowmask_t)) +
-      static_cast<std::size_t>(kTileNnzMax) * (2 * sizeof(std::uint8_t) + sizeof(T));
+                             int fuse_bin_cap, bool csr_out) {
+  std::size_t bytes = tile_output_bytes_bound<T>(csr_out);
   const offset_t len_a = a.tile_ptr[static_cast<std::size_t>(ti) + 1] -
                          a.tile_ptr[static_cast<std::size_t>(ti)];
   const offset_t len_b = b_csc.col_ptr[static_cast<std::size_t>(tj) + 1] -
@@ -131,18 +189,22 @@ struct BudgetPlan {
 template <class T>
 BudgetPlan plan_budget(const TileMatrix<T>& a, const TileLayoutCsc& b_csc,
                        const TileStructure& st, const SpgemmWorkspace<T>& ws, bool cache_pairs,
-                       bool fuse_light, int fuse_bin_cap, bool degrade) {
+                       bool fuse_light, int fuse_bin_cap, bool csr_out, bool degrade) {
   constexpr std::size_t kSat = static_cast<std::size_t>(-1);
   BudgetPlan out;
   out.budget = device_memory_budget_bytes();
 
   // Fixed share: the pooled buffers already sized by step 1 (layout view,
   // structure, per-thread scratch) plus C's top-level arrays, all of which
-  // stay live for the whole multiply regardless of chunking.
+  // stay live for the whole multiply regardless of chunking. A tile C
+  // copies the structure's tile pointers and keeps per-tile offsets; a CSR
+  // C keeps its row pointer, and the offset pass a count per tile row.
   std::size_t fixed = ws.bytes();
-  const std::size_t top_level = st.tile_ptr.size() * sizeof(offset_t) +
-                                st.tile_col_idx.size() * sizeof(index_t) +
-                                (st.tile_col_idx.size() + 1) * sizeof(offset_t);
+  const std::size_t top_level =
+      csr_out ? (static_cast<std::size_t>(a.rows) + 1 + st.tile_ptr.size()) * sizeof(offset_t)
+              : st.tile_ptr.size() * sizeof(offset_t) +
+                    st.tile_col_idx.size() * sizeof(index_t) +
+                    (st.tile_col_idx.size() + 1) * sizeof(offset_t);
   if (!checked_add(fixed, top_level, fixed)) fixed = kSat;
 
   // Per-tile-row staging bounds; these drive both the single-shot verdict
@@ -157,7 +219,7 @@ BudgetPlan plan_budget(const TileMatrix<T>& a, const TileLayoutCsc& b_csc,
       const index_t ti = st.tile_row_idx[static_cast<std::size_t>(t)];
       const index_t tj = st.tile_col_idx[static_cast<std::size_t>(t)];
       const std::size_t tb =
-          tile_bytes_bound(a, b_csc, ti, tj, cache_pairs, fuse_light, fuse_bin_cap);
+          tile_bytes_bound(a, b_csc, ti, tj, cache_pairs, fuse_light, fuse_bin_cap, csr_out);
       if (!checked_add(rb, tb, rb)) {
         rb = kSat;
         break;
@@ -361,7 +423,8 @@ ExecutionPlan SpgemmContext::make_plan(const TileMatrix<T>& a, const TileLayoutC
 }
 
 template <class T>
-TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMatrix<T>& b) {
+TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMatrix<T>& b,
+                                            Csr<T>* csr) {
   TSG_TRACE_SPAN("spgemm.run");
   std::optional<obs::MetricsSnapshot> before;
   if (obs::metrics_detail_enabled()) {
@@ -416,10 +479,11 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
     TSG_TRACE_SPAN("plan.budget");
     // fuse_bin_cap >= kCostBins encodes "binning off: any tile may stage".
     const int fuse_bin_cap = cfg_.cost_binning ? cfg_.fuse_max_bin : kCostBins;
-    budget = plan_budget(a, ws.b_csc, ws.structure, ws, cache_pairs, fuse_light,
-                         fuse_bin_cap, cfg_.degrade_on_budget);
+    const bool csr_out = csr != nullptr;
+    budget = plan_budget(a, ws.b_csc, ws.structure, ws, cache_pairs, fuse_light, fuse_bin_cap,
+                         csr_out, cfg_.degrade_on_budget);
     if (budget.limited && cache_pairs) {
-      budget = plan_budget(a, ws.b_csc, ws.structure, ws, false, false, fuse_bin_cap,
+      budget = plan_budget(a, ws.b_csc, ws.structure, ws, false, false, fuse_bin_cap, csr_out,
                            cfg_.degrade_on_budget);
       cache_pairs = false;
       fuse_light = false;
@@ -435,7 +499,7 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
   }
 
   if (budget.limited) {
-    run_chunked(a, b, budget.chunks, ws, cache_pairs, fuse_light, result);
+    run_chunked(a, b, budget.chunks, ws, cache_pairs, fuse_light, result, csr);
     tm.chunks = static_cast<int>(budget.chunks.size());
   } else {
     // Cost model + binned schedule (plan_ms).
@@ -456,36 +520,30 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
     check_cancelled();
     tm.fused_tiles = symbolic.fused_tiles;
 
-    // Allocate C (the only sizeable allocation of the whole algorithm).
-    TileMatrix<T>& c = result.c;
+    // Allocate C (the only sizeable allocation of the whole algorithm) in
+    // the caller's layout.
     {
       ScopedAccumulator scope(tm.alloc_ms);
-      TSG_TRACE_SPAN("alloc.c");
-      c.rows = a.rows;
-      c.cols = b.cols;
-      c.tile_rows = ws.structure.tile_rows;
-      c.tile_cols = ws.structure.tile_cols;
-      c.tile_ptr = ws.structure.tile_ptr;
-      c.tile_col_idx = ws.structure.tile_col_idx;
-      c.tile_nnz = std::move(symbolic.tile_nnz);
-      c.row_ptr = std::move(symbolic.row_ptr);
-      c.mask = std::move(symbolic.mask);
-      const std::size_t nnz = static_cast<std::size_t>(c.nnz());
-      c.row_idx.resize(nnz);
-      c.col_idx.resize(nnz);
-      c.val.resize(nnz);
+      start_output(a.rows, b.cols, ws.structure, result.c, csr);
     }
+    const Step3Output<T> out =
+        alloc_output(a, ws, symbolic, 0, ws.structure.tile_rows, result.c, csr, tm);
 
     // Step 3: numeric.
     {
       ScopedAccumulator scope(tm.step3_ms);
       TSG_TRACE_SPAN("step3", ws.structure.num_tiles());
-      step3_numeric(a, b, ws.b_csc, ws.structure, cfg_.options, c, ws, plan);
+      step3_numeric(a, b, ws.b_csc, ws.structure, cfg_.options, symbolic, ws, plan, out);
     }
     // Stage boundary: values of skipped tiles were never written — the
     // partial C must not be returned as a result.
     cancel_.note_progress();
     check_cancelled();
+    if (csr == nullptr) {
+      result.c.tile_nnz = std::move(symbolic.tile_nnz);
+      result.c.row_ptr = std::move(symbolic.row_ptr);
+      result.c.mask = std::move(symbolic.mask);
+    }
   }
   tm.workspace_bytes = workspace_bytes();
 
@@ -505,7 +563,7 @@ template <class T>
 void SpgemmContext::run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
                                 const std::vector<std::pair<index_t, index_t>>& chunks,
                                 SpgemmWorkspace<T>& ws, bool cache_pairs, bool fuse_light,
-                                TileSpgemmResult<T>& result) {
+                                TileSpgemmResult<T>& result, Csr<T>* csr) {
   const TileStructure& st = ws.structure;
   TileSpgemmTimings& tm = result.timings;
   TileMatrix<T>& c = result.c;
@@ -513,20 +571,17 @@ void SpgemmContext::run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
   // Assemble C's top level once; the low-level arrays grow chunk by chunk.
   {
     ScopedAccumulator scope(tm.alloc_ms);
-    c.rows = a.rows;
-    c.cols = b.cols;
-    c.tile_rows = st.tile_rows;
-    c.tile_cols = st.tile_cols;
-    c.tile_ptr = st.tile_ptr;
-    c.tile_col_idx = st.tile_col_idx;
-    const std::size_t ntiles = st.tile_col_idx.size();
-    c.tile_nnz.clear();
-    c.tile_nnz.reserve(ntiles + 1);
-    c.tile_nnz.push_back(0);
-    c.row_ptr.clear();
-    c.row_ptr.reserve(checked_size_mul(ntiles, static_cast<std::size_t>(kTileDim)));
-    c.mask.clear();
-    c.mask.reserve(checked_size_mul(ntiles, static_cast<std::size_t>(kTileDim)));
+    start_output(a.rows, b.cols, st, c, csr);
+    if (csr == nullptr) {
+      const std::size_t ntiles = st.tile_col_idx.size();
+      c.tile_nnz.clear();
+      c.tile_nnz.reserve(ntiles + 1);
+      c.tile_nnz.push_back(0);
+      c.row_ptr.clear();
+      c.row_ptr.reserve(checked_size_mul(ntiles, static_cast<std::size_t>(kTileDim)));
+      c.mask.clear();
+      c.mask.reserve(checked_size_mul(ntiles, static_cast<std::size_t>(kTileDim)));
+    }
   }
 
   // Chunk-local structure and output, hoisted so later chunks reuse their
@@ -574,27 +629,19 @@ void SpgemmContext::run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
     check_cancelled();  // don't allocate this chunk's slice from a hole
     tm.fused_tiles += symbolic.fused_tiles;
 
-    {
-      ScopedAccumulator scope(tm.alloc_ms);
-      cc.rows = a.rows;
-      cc.cols = b.cols;
-      cc.tile_rows = st.tile_rows;
-      cc.tile_cols = st.tile_cols;
-      cc.tile_nnz = std::move(symbolic.tile_nnz);
-      cc.row_ptr = std::move(symbolic.row_ptr);
-      cc.mask = std::move(symbolic.mask);
-      const std::size_t cn = static_cast<std::size_t>(cc.nnz());
-      cc.row_idx.resize(cn);
-      cc.col_idx.resize(cn);
-      cc.val.resize(cn);
-    }
+    // A CSR C grows by the chunk's rows: the offset pass continues the row
+    // pointers where the previous chunk ended, and step 3 writes straight
+    // into the grown arrays, so chunks concatenate with no stitch copy.
+    const Step3Output<T> out =
+        alloc_output(a, ws, symbolic, range.first, range.second, cc, csr, tm);
 
     {
       ScopedAccumulator scope(tm.step3_ms);
       TSG_TRACE_SPAN("step3", chunk_st.num_tiles());
-      step3_numeric(a, b, ws.b_csc, chunk_st, cfg_.options, cc, ws, plan);
+      step3_numeric(a, b, ws.b_csc, chunk_st, cfg_.options, symbolic, ws, plan, out);
     }
     check_cancelled();  // don't stitch a chunk whose values have holes
+    if (csr != nullptr) continue;
 
     // Stitch. Chunks arrive in tile-row order and tiles keep their storage
     // order inside a chunk, so appending (with the nnz offsets rebased onto
@@ -602,11 +649,11 @@ void SpgemmContext::run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
     {
       ScopedAccumulator scope(tm.alloc_ms);
       const offset_t base = c.tile_nnz.back();
-      for (std::size_t k = 0; k + 1 < cc.tile_nnz.size(); ++k) {
-        c.tile_nnz.push_back(base + cc.tile_nnz[k + 1]);
+      for (std::size_t k = 0; k + 1 < symbolic.tile_nnz.size(); ++k) {
+        c.tile_nnz.push_back(base + symbolic.tile_nnz[k + 1]);
       }
-      c.row_ptr.insert(c.row_ptr.end(), cc.row_ptr.begin(), cc.row_ptr.end());
-      c.mask.insert(c.mask.end(), cc.mask.begin(), cc.mask.end());
+      c.row_ptr.insert(c.row_ptr.end(), symbolic.row_ptr.begin(), symbolic.row_ptr.end());
+      c.mask.insert(c.mask.end(), symbolic.mask.begin(), symbolic.mask.end());
       c.row_idx.insert(c.row_idx.end(), cc.row_idx.begin(), cc.row_idx.end());
       c.col_idx.insert(c.col_idx.end(), cc.col_idx.begin(), cc.col_idx.end());
       c.val.insert(c.val.end(), cc.val.begin(), cc.val.end());
@@ -615,8 +662,8 @@ void SpgemmContext::run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
 }
 
 template <class T>
-Expected<TileSpgemmResult<T>> SpgemmContext::try_run(const TileMatrix<T>& a,
-                                                     const TileMatrix<T>& b) {
+Expected<TileSpgemmResult<T>> SpgemmContext::try_run_into(const TileMatrix<T>& a,
+                                                          const TileMatrix<T>& b, Csr<T>* csr) {
   const ThreadScope threads(*this);
   if (a.cols != b.rows) {
     return Status::dimension_mismatch("spgemm: inner dimensions differ (A is " +
@@ -631,7 +678,7 @@ Expected<TileSpgemmResult<T>> SpgemmContext::try_run(const TileMatrix<T>& a,
     return s;
   }
   try {
-    return run_impl(a, b);
+    return run_impl(a, b, csr);
   } catch (const Error& e) {
     return e.status();
   } catch (const std::bad_alloc&) {
@@ -639,6 +686,12 @@ Expected<TileSpgemmResult<T>> SpgemmContext::try_run(const TileMatrix<T>& a,
         "spgemm: a tracked allocation failed mid-run (real or injected); the context remains "
         "reusable");
   }
+}
+
+template <class T>
+Expected<TileSpgemmResult<T>> SpgemmContext::try_run(const TileMatrix<T>& a,
+                                                     const TileMatrix<T>& b) {
+  return try_run_into<T>(a, b, nullptr);
 }
 
 template <class T>
@@ -701,19 +754,19 @@ Expected<Csr<T>> SpgemmContext::try_run_csr(const Csr<T>& a, const Csr<T>& b,
     // Aliased operands (C = A*A) convert once.
     std::optional<TileMatrix<T>> tb;
     if (&a != &b) tb.emplace(to_tile(b));
-    Expected<TileSpgemmResult<T>> result = try_run(ta, tb ? *tb : ta);
+    // C comes back in CSR directly: step 3 writes its rows, so there is no
+    // tile-layout C to convert back.
+    Csr<T> c;
+    Expected<TileSpgemmResult<T>> result = try_run_into(ta, tb ? *tb : ta, &c);
     if (!result.ok()) {
       pending_convert_ms_ = 0.0;  // the failed run consumed nothing; don't charge the next one
       return result.status();
     }
-    Timer back;
-    Csr<T> c = tile_to_csr(result->c);
-    result->timings.convert_ms += back.milliseconds();
     if (timings != nullptr) *timings = result->timings;
     return c;
   } catch (const std::bad_alloc&) {
     pending_convert_ms_ = 0.0;
-    return Status::allocation_failed("run_csr: allocation failed during CSR<->tile conversion");
+    return Status::allocation_failed("run_csr: allocation failed during CSR->tile conversion");
   } catch (const Error& e) {
     pending_convert_ms_ = 0.0;
     return e.status();

@@ -14,7 +14,8 @@
 //
 //     Config::from_env() ── builder tweaks ──> SpgemmContext ctx(cfg)
 //           ctx.run(a, b)        tile in/out, timings + bin counters
-//           ctx.run_csr(a, b)    CSR in/out, conversion time in convert_ms
+//           ctx.run_csr(a, b)    CSR in/out: inputs converted (convert_ms),
+//                                C written straight into CSR by step 3
 //           ctx.run_aat(a)       A * A^T, transpose formed tile-natively
 //           ctx.run_masked(...)  C = (A*B) .* structure(M)
 //           ctx.workspace_bytes() / ctx.release_workspaces()
@@ -35,6 +36,14 @@
 // through the same pooled workspace, and the chunks are stitched into the
 // final matrix. Results are bit-identical to the single-shot run;
 // TileSpgemmTimings::chunks / budget_limited report what happened.
+//
+// Output layout: the entry point fixes it, so there is no knob. Tile in
+// gives tile out. CSR in gives CSR out, and C is written once, in CSR: after
+// step 2 an offset pass turns C's row masks into CSR row pointers plus a
+// within-row offset per local row of each non-empty tile, and step 3 writes
+// column indices and values straight there. No tile-layout copy of C's
+// entries exists on that path; a chunked CSR run grows C by each chunk's
+// rows, so its chunks concatenate without a stitch copy.
 //
 // The free functions tile_spgemm() / spgemm_tile() / tile_spgemm_aat() /
 // tile_spgemm_masked() remain as thin wrappers that create a transient
@@ -228,10 +237,13 @@ class SpgemmContext {
   template <class T>
   TileSpgemmResult<T> run_aat(const TileMatrix<T>& a);
 
-  /// CSR in/out convenience: converts (aliased operands convert once),
-  /// multiplies, converts back. Conversion time lands in
-  /// timings->convert_ms — the Fig. 12 numerator — not in core_ms().
-  /// On failure `*timings` is untouched. Throwing twin: run_csr().
+  /// CSR in/out: converts the operands (aliased operands convert once) and
+  /// multiplies, with step 3 writing C's CSR rows directly — bit-identical
+  /// to tile_to_csr(run(...).c). timings->convert_ms covers the input
+  /// conversion only, the Fig. 12 numerator; C's CSR assembly is booked in
+  /// alloc_ms (the offset pass) and step3_ms (the writes), so core_ms()
+  /// includes it. On failure `*timings` is untouched. Throwing twin:
+  /// run_csr().
   template <class T>
   Expected<Csr<T>> try_run_csr(const Csr<T>& a, const Csr<T>& b,
                                TileSpgemmTimings* timings = nullptr);
@@ -281,18 +293,27 @@ class SpgemmContext {
                           const TileStructure& structure, SpgemmWorkspace<T>& ws,
                           bool cache_pairs, bool fuse_light, TileSpgemmTimings& tm);
 
+  /// try_run's contract (threads, validation, Status conversion) around
+  /// run_impl; `csr` as there.
+  template <class T>
+  Expected<TileSpgemmResult<T>> try_run_into(const TileMatrix<T>& a, const TileMatrix<T>& b,
+                                             Csr<T>* csr);
+
   /// The pipeline body shared by single-shot and chunked execution; throws
   /// (bad_alloc, Error) rather than returning a Status — try_run converts.
+  /// C lands in `*csr` when it is non-null (result.c stays empty), in
+  /// result.c otherwise.
   template <class T>
-  TileSpgemmResult<T> run_impl(const TileMatrix<T>& a, const TileMatrix<T>& b);
+  TileSpgemmResult<T> run_impl(const TileMatrix<T>& a, const TileMatrix<T>& b, Csr<T>* csr);
 
   /// Chunked degradation: executes steps 2-3 tile-row range by range and
-  /// stitches the ranges into `result.c` (bit-identical to single-shot).
+  /// stitches the ranges into `result.c`, or appends their CSR rows to
+  /// `*csr` (bit-identical to single-shot either way).
   template <class T>
   void run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
                    const std::vector<std::pair<index_t, index_t>>& chunks,
                    SpgemmWorkspace<T>& ws, bool cache_pairs, bool fuse_light,
-                   TileSpgemmResult<T>& result);
+                   TileSpgemmResult<T>& result, Csr<T>* csr);
 
   /// Masked pipeline body (masked_spgemm.cpp); throws, try_run_masked converts.
   template <class T>

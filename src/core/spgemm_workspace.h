@@ -3,7 +3,8 @@
 // Every tile_spgemm() call needs the same family of scratch buffers: the
 // column-major view of B's tile layout, the symbolic tile structure of C,
 // step 1's per-tile-row column lists, the cost/schedule arrays of the
-// binned scheduler, and per-thread buffers (intersection scratch, A tile-row
+// binned scheduler, the CSR placement of a CSR caller's C, and per-thread
+// buffers (intersection scratch, A tile-row
 // index, pair cache, staged fused values, the stamped tile set). On the GPU
 // all of this is either on-chip or allocated once per launch; on the CPU the
 // repeated malloc/free of these buffers dominates the iterated workloads
@@ -24,6 +25,7 @@
 #include "common/cancellation.h"
 #include "core/intersect.h"
 #include "core/step1.h"
+#include "core/tile_convert.h"
 #include "core/tile_format.h"
 
 namespace tsg {
@@ -85,6 +87,25 @@ struct StampedTileSet {
 };
 
 }  // namespace detail
+
+/// Upper bound on the bytes one C tile's output needs during steps 2-3, in
+/// the output's layout: step 2's symbolic record (an offset, 16 local row
+/// pointers, 16 masks) plus, at the 256-nonzero tile maximum, two local
+/// indices and a value per slot (tile layout) or a column index and a value
+/// per slot and the tile's CSR placement, 16 within-row offsets and its
+/// rank (CSR). The context's budget planner and the service's admission
+/// estimate both charge it.
+template <class T>
+constexpr std::size_t tile_output_bytes_bound(bool csr_out) {
+  constexpr std::size_t symbolic =
+      sizeof(offset_t) +
+      static_cast<std::size_t>(kTileDim) * (sizeof(std::uint8_t) + sizeof(rowmask_t));
+  if (csr_out) {
+    return symbolic + static_cast<std::size_t>(kTileNnzMax) * (sizeof(index_t) + sizeof(T)) +
+           static_cast<std::size_t>(kTileDim) * sizeof(index_t) + sizeof(offset_t);
+  }
+  return symbolic + static_cast<std::size_t>(kTileNnzMax) * (2 * sizeof(std::uint8_t) + sizeof(T));
+}
 
 /// Per-call execution schedule handed to steps 2 and 3 by SpgemmContext.
 /// `order`, when non-null, is a permutation of [0, numtiles) that both
@@ -188,6 +209,7 @@ struct SpgemmWorkspace {
   tracked_vector<offset_t> schedule;  ///< binned visit order over C tiles
   tracked_vector<detail::TileSlot> pair_slot;    ///< per tile, iff cache_pairs
   tracked_vector<detail::TileSlot> staged_slot;  ///< per tile, iff fuse_light
+  CsrPlacement csr_place;             ///< where C's tiles land, iff C is CSR
   std::vector<ThreadSlot> slots;      ///< one per worker thread
   /// Per-call cancellation token for step 1, which runs before an
   /// ExecutionPlan exists (the plan carries the token for steps 2/3).
@@ -232,7 +254,10 @@ struct SpgemmWorkspace {
                         detail::capacity_bytes(structure.tile_col_idx) +
                         detail::capacity_bytes(structure.tile_row_idx) +
                         detail::capacity_bytes(cost_bin) + detail::capacity_bytes(schedule) +
-                        detail::capacity_bytes(pair_slot) + detail::capacity_bytes(staged_slot);
+                        detail::capacity_bytes(pair_slot) + detail::capacity_bytes(staged_slot) +
+                        detail::capacity_bytes(csr_place.slot) +
+                        detail::capacity_bytes(csr_place.offset) +
+                        detail::capacity_bytes(csr_place.row_tiles);
     for (const std::vector<index_t>& row : step1_rows) {
       total += detail::capacity_bytes(row);
     }

@@ -1,5 +1,6 @@
 #include "core/step3.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/parallel.h"
@@ -14,8 +15,9 @@ namespace tsg {
 template <class T>
 void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
                    const TileLayoutCsc& b_csc, const TileStructure& structure,
-                   const TileSpgemmOptions& options, TileMatrix<T>& c,
-                   SpgemmWorkspace<T>& ws, const ExecutionPlan& plan) {
+                   const TileSpgemmOptions& options, const Step2Result& symbolic,
+                   SpgemmWorkspace<T>& ws, const ExecutionPlan& plan,
+                   const Step3Output<T>& out) {
   const offset_t ntiles = structure.num_tiles();
   ws.ensure_threads(max_workers());
   ws.reset_row_index(a.tile_cols);
@@ -24,6 +26,8 @@ void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
   const bool use_staged = plan.fuse_light && plan.cache_pairs &&
                           ws.staged_slot.size() == static_cast<std::size_t>(ntiles);
 
+  TileMatrix<T>* const tile_out = out.tile;
+  Csr<T>* const csr_out = out.csr;
   // Numeric kernel table, resolved once per call. Materialize is safe to
   // aim at C's shared arrays at every level (exact-store contract); the
   // dense compress only ever targets the local `slots` scratch.
@@ -60,27 +64,45 @@ void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
       plan.cancel.note_progress();
       if (plan.cancel.should_stop()) return;
     }
-    const offset_t t = plan.order != nullptr ? plan.order[i] : i;
+    // A CSR C is visited in tile order instead: consecutive tiles of a tile
+    // row then write adjacent segments of the same CSR rows from one
+    // thread, which beats the binned order's scattered row writes.
+    const offset_t t = plan.order != nullptr && csr_out == nullptr ? plan.order[i] : i;
     const index_t tile_i = structure.tile_row_idx[static_cast<std::size_t>(t)];
     const index_t tile_j = structure.tile_col_idx[static_cast<std::size_t>(t)];
-    const index_t nnz_c = c.tile_nnz_of(t);
-    const offset_t nz_base = c.tile_nnz[static_cast<std::size_t>(t)];
-    const rowmask_t* mask_c = c.tile_mask(t);
-    const std::uint8_t* row_ptr_c = c.row_ptr.data() + static_cast<std::size_t>(t) * kTileDim;
+    const offset_t nz_base = symbolic.tile_nnz[static_cast<std::size_t>(t)];
+    const auto nnz_c =
+        static_cast<index_t>(symbolic.tile_nnz[static_cast<std::size_t>(t) + 1] - nz_base);
+    const std::size_t sym_base = static_cast<std::size_t>(t) * kTileDim;
+    const rowmask_t* mask_c = symbolic.mask.data() + sym_base;
+    const std::uint8_t* row_ptr_c = symbolic.row_ptr.data() + sym_base;
 
-    // Materialise the local row/column indices from the masks; the mask bit
-    // order is the storage order.
-    nops.materialize(mask_c, c.row_idx.data() + nz_base, c.col_idx.data() + nz_base);
     if (nnz_c == 0) return;  // step 1 may keep tiles that turned out empty
+    // Tile layout: materialise the local row/column indices from the masks;
+    // the mask bit order is the storage order.
+    if (tile_out != nullptr) {
+      nops.materialize(mask_c, tile_out->row_idx.data() + nz_base,
+                       tile_out->col_idx.data() + nz_base);
+    }
+
+    // The tile's values, in storage order, land in C's layout: one
+    // contiguous run of the tile arrays, or one segment per local row of
+    // the CSR rows, at the place the offset pass fixed.
+    const auto emit = [&](const T* vals) {
+      if (csr_out != nullptr) {
+        write_tile_rows(mask_c, vals, tile_j * kTileDim,
+                        csr_out->row_ptr.data() + static_cast<std::size_t>(tile_i) * kTileDim,
+                        out.place->offsets_of(t), csr_out->col_idx.data(), csr_out->val.data());
+      } else {
+        std::copy_n(vals, nnz_c, tile_out->val.data() + nz_base);
+      }
+    };
 
     if (use_staged) {
       // Fused path: step 2 already accumulated this tile's values.
       const detail::TileSlot& s = ws.staged_slot[static_cast<std::size_t>(t)];
       if (s.count > 0) {
-        const T* staged = ws.slot(static_cast<int>(s.thread)).staged.data() + s.offset;
-        for (index_t k = 0; k < nnz_c; ++k) {
-          c.val[static_cast<std::size_t>(nz_base + k)] = staged[k];
-        }
+        emit(ws.slot(static_cast<int>(s.thread)).staged.data() + s.offset);
         return;
       }
     }
@@ -113,19 +135,19 @@ void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
     if (detail_metrics) {
       (path == detail::AccumulatePath::kRankScatter ? m_scatter : m_rows).inc();
     }
-    for (index_t k = 0; k < nnz_c; ++k) {
-      c.val[static_cast<std::size_t>(nz_base + k)] = slots[k];
-    }
+    emit(slots);
   });
 }
 
 template void step3_numeric(const TileMatrix<double>&, const TileMatrix<double>&,
                             const TileLayoutCsc&, const TileStructure&,
-                            const TileSpgemmOptions&, TileMatrix<double>&,
-                            SpgemmWorkspace<double>&, const ExecutionPlan&);
+                            const TileSpgemmOptions&, const Step2Result&,
+                            SpgemmWorkspace<double>&, const ExecutionPlan&,
+                            const Step3Output<double>&);
 template void step3_numeric(const TileMatrix<float>&, const TileMatrix<float>&,
                             const TileLayoutCsc&, const TileStructure&,
-                            const TileSpgemmOptions&, TileMatrix<float>&,
-                            SpgemmWorkspace<float>&, const ExecutionPlan&);
+                            const TileSpgemmOptions&, const Step2Result&,
+                            SpgemmWorkspace<float>&, const ExecutionPlan&,
+                            const Step3Output<float>&);
 
 }  // namespace tsg

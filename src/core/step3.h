@@ -12,30 +12,49 @@
 // matched pairs in the workspace and this pass skips the re-intersection;
 // when it enabled fusion, light tiles arrive with their values already
 // staged and only need copying into place.
+//
+// C is written once, in the caller's layout: either the tile layout's
+// low-level arrays, or, for a CSR caller, straight into C's CSR rows at the
+// positions the offset pass (place_csr_rows) fixed from step 2's masks.
 #pragma once
 
 #include "core/step2.h"
+#include "core/tile_convert.h"
 
 namespace tsg {
 
-/// Numeric pass: fills the low-level arrays of C (row_idx/col_idx/val).
-/// `c` must already carry its high-level structure and the step-2 results;
-/// see spgemm_context.cpp for the assembly. `ws` holds the per-thread
-/// intersection scratch plus any pair-cache / staged-value records written
-/// by step 2 under the same plan.
+/// Where step 3 writes C's entries; exactly one layout is set.
+template <class T>
+struct Step3Output {
+  /// Tile layout: C's row_idx/col_idx/val, sized to the symbolic nnz and
+  /// filled in tile storage order.
+  TileMatrix<T>* tile = nullptr;
+  /// CSR: C's arrays, with row_ptr already final for the structure's tile
+  /// rows and col_idx/val sized to match, plus the structure's placement.
+  Csr<T>* csr = nullptr;
+  const CsrPlacement* place = nullptr;
+};
+
+/// Numeric pass over the tiles of `structure`, whose symbolic result step 2
+/// left in `symbolic`. `ws` holds the per-thread intersection scratch plus
+/// any pair-cache / staged-value records written by step 2 under the same
+/// plan; see spgemm_context.cpp for the assembly around it.
 template <class T>
 void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
                    const TileLayoutCsc& b_csc, const TileStructure& structure,
-                   const TileSpgemmOptions& options, TileMatrix<T>& c,
-                   SpgemmWorkspace<T>& ws, const ExecutionPlan& plan);
+                   const TileSpgemmOptions& options, const Step2Result& symbolic,
+                   SpgemmWorkspace<T>& ws, const ExecutionPlan& plan,
+                   const Step3Output<T>& out);
 
 extern template void step3_numeric(const TileMatrix<double>&, const TileMatrix<double>&,
                                    const TileLayoutCsc&, const TileStructure&,
-                                   const TileSpgemmOptions&, TileMatrix<double>&,
-                                   SpgemmWorkspace<double>&, const ExecutionPlan&);
+                                   const TileSpgemmOptions&, const Step2Result&,
+                                   SpgemmWorkspace<double>&, const ExecutionPlan&,
+                                   const Step3Output<double>&);
 extern template void step3_numeric(const TileMatrix<float>&, const TileMatrix<float>&,
                                    const TileLayoutCsc&, const TileStructure&,
-                                   const TileSpgemmOptions&, TileMatrix<float>&,
-                                   SpgemmWorkspace<float>&, const ExecutionPlan&);
+                                   const TileSpgemmOptions&, const Step2Result&,
+                                   SpgemmWorkspace<float>&, const ExecutionPlan&,
+                                   const Step3Output<float>&);
 
 }  // namespace tsg

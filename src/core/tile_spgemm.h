@@ -11,9 +11,9 @@
 //                      calls. Preferred for iterated workloads.
 //   * tile_spgemm()  — tile-format in/out through a transient context, with
 //                      per-step timings (Fig. 10)
-//   * spgemm_tile()  — CSR convenience wrapper (converts, multiplies,
-//                      converts back), the drop-in comparator used by the
-//                      benches and tests
+//   * spgemm_tile()  — CSR convenience wrapper (converts the operands,
+//                      multiplies, step 3 writing C's CSR rows), the drop-in
+//                      comparator used by the benches and tests
 #pragma once
 
 #include <array>
@@ -36,9 +36,14 @@ struct TileSpgemmTimings {
   double step1_ms = 0.0;    ///< tile-structure symbolic SpGEMM
   double step2_ms = 0.0;    ///< per-tile symbolic (intersection + masks)
   double step3_ms = 0.0;    ///< numeric accumulation
-  double alloc_ms = 0.0;    ///< memory allocation for C (and views)
+  /// Memory allocation for C (and views); on the CSR path also the offset
+  /// pass that fixes where C's tiles land in CSR.
+  double alloc_ms = 0.0;
   double plan_ms = 0.0;     ///< cost model + binned schedule construction
-  double convert_ms = 0.0;  ///< CSR<->tile conversions (zero for tile-native runs)
+  /// CSR->tile conversion of the operands (zero for tile-native runs). The
+  /// CSR path has no tile->CSR conversion of C: step 3 writes C's CSR rows
+  /// directly, so C's assembly lands in alloc_ms and step3_ms instead.
+  double convert_ms = 0.0;
 
   /// Tiles per cost bin (bin 0 lightest); all zero when binning is off.
   std::array<offset_t, kCostBins> bin_tiles{};
@@ -89,10 +94,11 @@ template <class T>
 TileSpgemmResult<T> tile_spgemm(const TileMatrix<T>& a, const TileMatrix<T>& b,
                                 const TileSpgemmOptions& options = {});
 
-/// CSR-to-CSR convenience wrapper. Conversion time is *not* part of the
-/// algorithm (the paper assumes operands already live in tile format,
-/// Section 4.6) but is reported in `timings->convert_ms`; pass `timings`
-/// to retrieve the per-step breakdown.
+/// CSR-to-CSR convenience wrapper. Operand conversion time is *not* part of
+/// the algorithm (the paper assumes operands already live in tile format,
+/// Section 4.6) but is reported in `timings->convert_ms`; C itself is
+/// written straight into CSR by step 3. Pass `timings` to retrieve the
+/// per-step breakdown.
 template <class T>
 Csr<T> spgemm_tile(const Csr<T>& a, const Csr<T>& b, const TileSpgemmOptions& options = {},
                    TileSpgemmTimings* timings = nullptr);

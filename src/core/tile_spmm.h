@@ -19,8 +19,11 @@ struct DenseMatrix {
   tracked_vector<T> data;
 
   DenseMatrix() = default;
+  /// Zero-filled: tile_spmm accumulates into it.
   DenseMatrix(index_t r, index_t c)
-      : rows(r), cols(c), data(static_cast<std::size_t>(r) * static_cast<std::size_t>(c)) {}
+      : rows(r),
+        cols(c),
+        data(checked_size_mul(static_cast<std::size_t>(r), static_cast<std::size_t>(c)), T{}) {}
 
   T& at(index_t r, index_t c) {
     return data[static_cast<std::size_t>(r) * static_cast<std::size_t>(cols) +

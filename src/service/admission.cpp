@@ -96,24 +96,25 @@ FootprintEstimate estimate_footprint(const Csr<double>& a, const Csr<double>& b)
                                    static_cast<std::size_t>(tile_count(b.cols)));
   est.c_tiles = pairs < grid ? pairs : grid;
 
-  // Per-tile staging mirrors plan_budget's tile_bytes_bound: output staging
-  // at the 256-nonzero tile maximum plus a pair-cache slot, with the pair
-  // records themselves charged once from the global pair bound (tighter
-  // than per-tile min(len_a, len_b) which is unknown here).
+  // Per-tile staging mirrors plan_budget's tile_bytes_bound for a CSR
+  // output (the service is CSR in, CSR out) plus a pair-cache slot, with
+  // the pair records themselves charged once from the global pair bound
+  // (tighter than per-tile min(len_a, len_b) which is unknown here).
   const std::size_t per_tile =
-      sizeof(offset_t) +
-      static_cast<std::size_t>(kTileDim) * (sizeof(std::uint8_t) + sizeof(rowmask_t)) +
-      static_cast<std::size_t>(kTileNnzMax) * (2 * sizeof(std::uint8_t) + sizeof(double)) +
-      sizeof(detail::TileSlot);
+      tile_output_bytes_bound<double>(/*csr_out=*/true) + sizeof(detail::TileSlot);
   std::size_t bytes = sat_mul(est.c_tiles, per_tile);
   bytes = sat_add(bytes, sat_mul(est.tile_pairs, sizeof(MatchedPair)));
 
   // Fixed share stand-in for the pooled workspace the planner adds after
   // step 1: the tiled operand views the run must hold (bounded by the CSR
   // operand bytes — the tiled format is never larger than twice CSR for
-  // occupied tiles) plus C's top-level arrays.
+  // occupied tiles), C's tile structure, and C's CSR row pointer with the
+  // offset pass's count per tile row.
   bytes = sat_add(bytes, sat_add(a.bytes(), &a == &b ? 0 : b.bytes()));
   bytes = sat_add(bytes, sat_mul(est.c_tiles, 2 * sizeof(offset_t) + sizeof(index_t)));
+  const std::size_t row_ptrs = sat_add(static_cast<std::size_t>(a.rows) + 1,
+                                       static_cast<std::size_t>(tile_count(a.rows)) + 1);
+  bytes = sat_add(bytes, sat_mul(row_ptrs, sizeof(offset_t)));
   est.bytes = bytes;
   return est;
 }

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "baselines/esc.h"
 #include "core/spgemm_context.h"
@@ -123,30 +125,53 @@ TEST(DeviceBudget, ChunkedExecutionIsBitIdenticalToSingleShot) {
 }
 
 TEST(DeviceBudget, ChunkingIsEquivalentAcrossTheGeneratorSuite) {
-  // Every structure class in the generator sweep: a roomy single-shot run
-  // and a starved run (2 MB: small enough that anything nontrivial chunks)
-  // must agree bit for bit. Cases whose estimate fits simply run single-
+  // Every structure class in the generator sweep, plus a rectangular A*B
+  // with B != A and a product whose C is empty: a roomy single-shot run and
+  // a starved run (2 MB: small enough that anything nontrivial chunks) must
+  // agree bit for bit, in the tile layout and through the CSR path, whose
+  // chunks append CSR rows. Cases whose estimate fits simply run single-
   // shot under both budgets — equivalence is asserted either way.
   BudgetOverrideGuard guard;
+  struct Product {
+    std::string name;
+    Csr<double> a, b;
+  };
+  std::vector<Product> products;
   const test::GenCase suite[] = {
       {"er_small", test::make_er_small}, {"rmat_small", test::make_rmat_small},
       {"stencil", test::make_stencil},   {"band_wide", test::make_band_wide},
       {"blocks", test::make_blocks},     {"clustered", test::make_clustered},
   };
+  for (const auto& c : suite) products.push_back({c.name, c.make(), c.make()});
+  products.push_back({"er_rect", test::make_er_rect(), test::make_er_rect_rhs()});
+  products.push_back(
+      {"empty_product", test::make_empty_product_lhs(), test::make_empty_product_rhs()});
+
   int chunked_cases = 0;
-  for (const auto& c : suite) {
-    const Csr<double> a = c.make();
-    const TileMatrix<double> ta = csr_to_tile(a);
+  int chunked_csr_cases = 0;
+  for (const Product& p : products) {
+    SCOPED_TRACE(p.name);
+    const TileMatrix<double> ta = csr_to_tile(p.a);
+    const TileMatrix<double> tb = csr_to_tile(p.b);
+    // The budget is process-wide and set when a context is built, so each
+    // context runs everything it needs before the next one is built.
     SpgemmContext roomy(SpgemmContext::Config{}.with_device_mem_mb(4096));
-    const TileSpgemmResult<double> gold = roomy.run(ta, ta);
+    const TileSpgemmResult<double> gold = roomy.run(ta, tb);
+    const Csr<double> gold_csr = roomy.run_csr(p.a, p.b);
     SpgemmContext squeezed(SpgemmContext::Config{}.with_device_mem_mb(2));
-    Expected<TileSpgemmResult<double>> run = squeezed.try_run(ta, ta);
-    ASSERT_TRUE(run.ok()) << c.name << ": " << run.status().to_string();
+    Expected<TileSpgemmResult<double>> run = squeezed.try_run(ta, tb);
+    ASSERT_TRUE(run.ok()) << run.status().to_string();
     if (run->timings.budget_limited) ++chunked_cases;
-    SCOPED_TRACE(c.name);
     expect_tile_bit_identical(gold.c, run->c);
+
+    TileSpgemmTimings tm;
+    Expected<Csr<double>> csr = squeezed.try_run_csr(p.a, p.b, &tm);
+    ASSERT_TRUE(csr.ok()) << csr.status().to_string();
+    if (tm.chunks >= 2) ++chunked_csr_cases;
+    test::expect_csr_bytes_equal(gold_csr, *csr, "starved csr");
   }
   EXPECT_GT(chunked_cases, 0) << "2 MB starved no case at all";
+  EXPECT_GT(chunked_csr_cases, 0) << "2 MB starved no CSR case at all";
 }
 
 TEST(DeviceBudget, DegradationDisabledReturnsBudgetExceeded) {

@@ -108,8 +108,8 @@ TEST(SymbolicAb, PackedPathStillMatchesReferenceProduct) {
 class PairCacheAb : public ::testing::TestWithParam<int> {};
 
 TEST_P(PairCacheAb, CachedPairsMatchRecomputeBitExact) {
-  const TileMatrix<double> t =
-      csr_to_tile(fuzz_matrix(static_cast<std::uint64_t>(GetParam()) + 5000));
+  const Csr<double> a = fuzz_matrix(static_cast<std::uint64_t>(GetParam()) + 5000);
+  const TileMatrix<double> t = csr_to_tile(a);
   SpgemmContext recompute(SpgemmContext::Config{}.with_pair_cache(false));
   const TileMatrix<double> gold = recompute.run(t, t).c;
   // Every bin cached (0), the default heavy-only split (1), and a bin that
@@ -117,9 +117,15 @@ TEST_P(PairCacheAb, CachedPairsMatchRecomputeBitExact) {
   for (const int min_bin : {0, 1, 99}) {
     SpgemmContext cached(
         SpgemmContext::Config{}.with_pair_cache(true).with_pair_cache_min_bin(min_bin));
-    expect_tiles_identical(gold, cached.run(t, t).c,
-                           "min_bin " + std::to_string(min_bin) + " seed " +
-                               std::to_string(GetParam()));
+    const std::string what =
+        "min_bin " + std::to_string(min_bin) + " seed " + std::to_string(GetParam());
+    const TileMatrix<double> got = cached.run(t, t).c;
+    expect_tiles_identical(gold, got, what);
+    // The CSR path writes C's rows straight from step 3: byte for byte
+    // tile_to_csr of the same context's tile result.
+    Expected<Csr<double>> csr = cached.try_run_csr(a, a);
+    ASSERT_TRUE(csr.ok()) << what << ": " << csr.status().to_string();
+    test::expect_csr_bytes_equal(tile_to_csr(got), *csr, what + " csr");
   }
 }
 

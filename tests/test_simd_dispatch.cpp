@@ -14,6 +14,7 @@
 #include <limits>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bitops.h"
@@ -426,32 +427,74 @@ Csr<double> fuzz_matrix(std::uint64_t seed) {
   }
 }
 
+/// The CSR path writes C's rows straight from step 3; they must equal, byte
+/// for byte, tile_to_csr of the tile-layout C the same context produced.
+template <class T>
+void expect_csr_run_matches(SpgemmContext& ctx, const Csr<T>& a, const Csr<T>& b,
+                            const TileMatrix<T>& tile_c, const std::string& context) {
+  Expected<Csr<T>> got = ctx.try_run_csr(a, b);
+  ASSERT_TRUE(got.ok()) << context << ": " << got.status().to_string();
+  test::expect_csr_bytes_equal(tile_to_csr(tile_c), *got, context + " csr");
+}
+
 class ForcedLevelAb : public ::testing::TestWithParam<int> {};
 
 TEST_P(ForcedLevelAb, EveryLevelMatchesScalarEndToEnd) {
-  const TileMatrix<double> t =
-      csr_to_tile(fuzz_matrix(static_cast<std::uint64_t>(GetParam()) + 7000));
+  const Csr<double> a = fuzz_matrix(static_cast<std::uint64_t>(GetParam()) + 7000);
+  const TileMatrix<double> t = csr_to_tile(a);
   SpgemmContext scalar(SpgemmContext::Config{}.with_simd_level(simd::Level::kScalar));
   const TileMatrix<double> gold = scalar.run(t, t).c;
   for (const simd::Level level : available_levels()) {
     SpgemmContext forced(SpgemmContext::Config{}.with_simd_level(level));
-    expect_tiles_identical(gold, forced.run(t, t).c,
-                           std::string(simd::level_name(level)) + " seed " +
-                               std::to_string(GetParam()));
+    const std::string what =
+        std::string(simd::level_name(level)) + " seed " + std::to_string(GetParam());
+    const TileMatrix<double> got = forced.run(t, t).c;
+    expect_tiles_identical(gold, got, what);
+    expect_csr_run_matches(forced, a, a, got, what);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Fuzz, ForcedLevelAb, ::testing::Range(0, 16));
 
 TEST(ForcedLevelAb, FloatPipelineMatchesScalarEndToEnd) {
-  const TileMatrix<float> t =
-      csr_to_tile(gen::cast_values<float>(gen::dense_blocks(10, 16, 4212)));
+  const Csr<float> a = gen::cast_values<float>(gen::dense_blocks(10, 16, 4212));
+  const TileMatrix<float> t = csr_to_tile(a);
   SpgemmContext scalar(SpgemmContext::Config{}.with_simd_level(simd::Level::kScalar));
   const TileMatrix<float> gold = scalar.run(t, t).c;
   for (const simd::Level level : available_levels()) {
     SpgemmContext forced(SpgemmContext::Config{}.with_simd_level(level));
-    expect_tiles_identical(gold, forced.run(t, t).c, simd::level_name(level));
+    const TileMatrix<float> got = forced.run(t, t).c;
+    expect_tiles_identical(gold, got, simd::level_name(level));
+    expect_csr_run_matches(forced, a, a, got, simd::level_name(level));
   }
+}
+
+TEST(ForcedLevelAb, RectangularAndEmptyProductsMatchThroughCsr) {
+  // A rectangular A*B with B != A (no dimension a multiple of 16), and a
+  // product whose only step-1 tile turns out empty.
+  const std::pair<Csr<double>, Csr<double>> products[] = {
+      {test::make_er_rect(), test::make_er_rect_rhs()},
+      {test::make_empty_product_lhs(), test::make_empty_product_rhs()},
+  };
+  for (const auto& [a, b] : products) {
+    const TileMatrix<double> ta = csr_to_tile(a);
+    const TileMatrix<double> tb = csr_to_tile(b);
+    SpgemmContext scalar(SpgemmContext::Config{}.with_simd_level(simd::Level::kScalar));
+    const TileMatrix<double> gold = scalar.run(ta, tb).c;
+    const std::string shape = std::to_string(a.rows) + "x" + std::to_string(b.cols);
+    for (const simd::Level level : available_levels()) {
+      SpgemmContext forced(SpgemmContext::Config{}.with_simd_level(level));
+      const std::string what = shape + " " + simd::level_name(level);
+      const TileMatrix<double> got = forced.run(ta, tb).c;
+      expect_tiles_identical(gold, got, what);
+      expect_csr_run_matches(forced, a, b, got, what);
+    }
+  }
+  SpgemmContext ctx;
+  const Csr<double> empty =
+      ctx.run_csr(test::make_empty_product_lhs(), test::make_empty_product_rhs());
+  EXPECT_EQ(empty.nnz(), 0);
+  EXPECT_EQ(empty.row_ptr, tracked_vector<offset_t>(21, 0));
 }
 
 // ------------------------------------------------------- fusion bin sweep --
@@ -459,8 +502,8 @@ TEST(ForcedLevelAb, FloatPipelineMatchesScalarEndToEnd) {
 class FusedBinAb : public ::testing::TestWithParam<int> {};
 
 TEST_P(FusedBinAb, EveryBinCapMatchesUnfusedBitExact) {
-  const TileMatrix<double> t =
-      csr_to_tile(fuzz_matrix(static_cast<std::uint64_t>(GetParam()) + 8000));
+  const Csr<double> a = fuzz_matrix(static_cast<std::uint64_t>(GetParam()) + 8000);
+  const TileMatrix<double> t = csr_to_tile(a);
   SpgemmContext unfused(SpgemmContext::Config{}.with_pair_cache(false));
   const TileMatrix<double> gold = unfused.run(t, t).c;
   offset_t prev_fused = 0;
@@ -470,9 +513,9 @@ TEST_P(FusedBinAb, EveryBinCapMatchesUnfusedBitExact) {
   for (const int cap : {-1, 0, 1, kCostBins - 1}) {
     SpgemmContext fused(SpgemmContext::Config{}.with_fused_path(true).with_fuse_max_bin(cap));
     const TileSpgemmResult<double> got = fused.run(t, t);
-    expect_tiles_identical(gold, got.c,
-                           "cap " + std::to_string(cap) + " seed " +
-                               std::to_string(GetParam()));
+    const std::string what = "cap " + std::to_string(cap) + " seed " + std::to_string(GetParam());
+    expect_tiles_identical(gold, got.c, what);
+    expect_csr_run_matches(fused, a, a, got.c, what);
     if (cap == -1) {
       EXPECT_EQ(got.timings.fused_tiles, 0) << "cap -1 must fuse nothing";
     } else {

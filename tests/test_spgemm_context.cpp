@@ -340,15 +340,17 @@ static_assert(
     twin_pair(&SpgemmContext::run_masked<float>, &SpgemmContext::try_run_masked<float>));
 
 TEST(SpgemmContextStatus, MaskedAndSemiringHonourCancellation) {
-  // The context's token reaches the masked and semiring pipelines: a
+  // The context's token reaches the masked, semiring and CSR pipelines: a
   // pre-cancelled or expired token ends the call with its status instead of
   // a (partly computed) C, and the disarmed context runs bit-identically to
   // a fresh one afterwards.
-  const TileMatrix<double> a = csr_to_tile(test::make_rmat_small());
+  const Csr<double> a_csr = test::make_rmat_small();
+  const TileMatrix<double> a = csr_to_tile(a_csr);
   SpgemmContext fresh;
   const Csr<double> want_masked = tile_to_csr(fresh.run_masked(a, a, a));
   const Csr<double> want_min_plus =
       tile_to_csr(tile_spgemm_semiring<MinPlus<double>>(fresh, a, a));
+  const Csr<double> want_csr = fresh.run_csr(a_csr, a_csr);
 
   CancelSource cancelled;
   cancelled.request_cancel();
@@ -362,6 +364,7 @@ TEST(SpgemmContextStatus, MaskedAndSemiringHonourCancellation) {
   for (const auto& [token, code] : stops) {
     ctx.set_cancel_token(token);
     EXPECT_EQ(ctx.try_run_masked(a, a, a).status().code(), code);
+    EXPECT_EQ(ctx.try_run_csr(a_csr, a_csr).status().code(), code);
     try {
       (void)tile_spgemm_semiring<MinPlus<double>>(ctx, a, a);
       ADD_FAILURE() << "semiring multiply ran under a stopped token";
@@ -375,6 +378,7 @@ TEST(SpgemmContextStatus, MaskedAndSemiringHonourCancellation) {
   expect_bit_identical(want_min_plus,
                        tile_to_csr(tile_spgemm_semiring<MinPlus<double>>(ctx, a, a)),
                        "min-plus");
+  test::expect_csr_bytes_equal(want_csr, ctx.run_csr(a_csr, a_csr), "csr");
 }
 
 TEST(SpgemmContext, FloatAndDoublePoolsAreIndependent) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <future>
 #include <string>
 
@@ -47,6 +48,36 @@ inline void expect_equal(const Csr<double>& expected, const Csr<double>& actual,
   EXPECT_TRUE(r.equal) << context << ": " << r.message;
 }
 
+/// Byte-for-byte equality of two CSR matrices' three arrays (memcmp, not a
+/// tolerance compare: layouts of one product must not differ by one ulp).
+template <class T>
+void expect_csr_bytes_equal(const Csr<T>& x, const Csr<T>& y, const std::string& context) {
+  SCOPED_TRACE(context);
+  ASSERT_EQ(x.rows, y.rows);
+  ASSERT_EQ(x.cols, y.cols);
+  ASSERT_EQ(x.row_ptr.size(), y.row_ptr.size());
+  ASSERT_EQ(x.col_idx.size(), y.col_idx.size());
+  ASSERT_EQ(x.val.size(), y.val.size());
+  EXPECT_EQ(std::memcmp(x.row_ptr.data(), y.row_ptr.data(), x.row_ptr.size() * sizeof(offset_t)),
+            0)
+      << "row_ptr";
+  if (!x.col_idx.empty()) {
+    EXPECT_EQ(
+        std::memcmp(x.col_idx.data(), y.col_idx.data(), x.col_idx.size() * sizeof(index_t)), 0)
+        << "col_idx";
+    EXPECT_EQ(std::memcmp(x.val.data(), y.val.data(), x.val.size() * sizeof(T)), 0) << "val";
+  }
+}
+
+/// A rows x cols matrix holding the single entry (r, c) = 1.
+inline Csr<double> single_entry(index_t rows, index_t cols, index_t r, index_t c) {
+  Csr<double> m(rows, cols);
+  for (index_t i = r + 1; i <= rows; ++i) m.row_ptr[static_cast<std::size_t>(i)] = 1;
+  m.col_idx.assign(1, c);
+  m.val.assign(1, 1.0);
+  return m;
+}
+
 /// Validate any SpGEMM implementation against the serial reference on the
 /// product C = A*B.
 template <class Fn>
@@ -81,5 +112,14 @@ inline Csr<double> make_hyper_sparse() { return gen::erdos_renyi(2000, 2000, 300
 /// 64 tile rows: A*A meets two-tile A rows with a 64-tile B column, long
 /// enough for the indexed intersection's binary-search branch.
 inline Csr<double> make_col_diag() { return gen::column_plus_diagonal(1024, 52); }
+
+/// B for a rectangular A*B with B != A: make_er_rect() (120 x 75) times this
+/// (75 x 90).
+inline Csr<double> make_er_rect_rhs() { return gen::erdos_renyi(75, 90, 700, 61); }
+
+/// A pair whose product is empty although step 1 keeps a tile for it: A's
+/// only entry sits in column 0, B's only entry in row 1 of the same tile.
+inline Csr<double> make_empty_product_lhs() { return single_entry(20, 20, 0, 0); }
+inline Csr<double> make_empty_product_rhs() { return single_entry(20, 20, 1, 0); }
 
 }  // namespace tsg::test
