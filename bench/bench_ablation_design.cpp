@@ -27,16 +27,6 @@ namespace {
 using namespace tsg;
 using bench::BenchArgs;
 
-double time_with(const TileMatrix<double>& t, const TileSpgemmOptions& opt, int reps) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    Timer timer;
-    (void)tile_spgemm(t, t, opt);
-    best = std::min(best, timer.milliseconds());
-  }
-  return best;
-}
-
 /// Best-of-reps serial time of intersecting, for every C tile of step 1's
 /// structure in storage (tile-row) order, A's tile row with B's tile
 /// column: `intersect(tile_i, a_cols, a_base, len_a, b_rows, b_ids, len_b,
@@ -155,20 +145,6 @@ int main(int argc, char** argv) {
                 fmt(ms_walk), fmt(ms_rows), fmt(ms_rows / ms_scatter) + "x"});
   }
   bench::emit(t2, args);
-
-  bench::print_header("Ablation 2b: pair caching (deviates from the paper)",
-                      "recompute the step-3 intersection (paper, zero global state) "
-                      "vs cache step-2 pairs");
-  Table t2b({"matrix", "recompute ms", "cached ms", "cached/recompute"});
-  for (const auto& m : suite) {
-    const TileMatrix<double> t = csr_to_tile(m.a);
-    TileSpgemmOptions recompute, cached;
-    cached.cache_pairs = true;
-    const double ms_r = time_with(t, recompute, args.effective_reps());
-    const double ms_c = time_with(t, cached, args.effective_reps());
-    t2b.add_row({m.name, fmt(ms_r), fmt(ms_c), fmt(ms_c / ms_r) + "x"});
-  }
-  bench::emit(t2b, args);
 
   bench::print_header("Ablation 3: scatter/row-kernel cut",
                       "tiles of at most `cut` nonzeros take the rank-indexed scatter, larger "

@@ -1,9 +1,10 @@
 // Context reuse: allocation traffic and per-step time of an iterated
 // workload (Markov-clustering-style repeated squaring) through transient
-// per-call contexts vs one reused SpgemmContext. The reused context keeps
-// its workspace pool (scratch, pair caches, prefix buffers) alive across
-// calls, so after a warm-up iteration the per-iteration allocated bytes
-// drop to just the output matrix C.
+// per-call contexts vs one reused SpgemmContext, both on the default
+// config. The reused context keeps its workspace pool (layout view, tile
+// structure, schedule, per-thread scratch) alive across calls, so after a
+// warm-up iteration the per-iteration allocated bytes drop to just the
+// output matrix C.
 #include <array>
 #include <iostream>
 
@@ -26,11 +27,6 @@ int main(int argc, char** argv) {
   };
   std::array<Sample, kIters> transient_it, reused_it;
 
-  // Pair caching on both sides: the cache is the largest scratch buffer
-  // (one entry per matched tile pair), so it is also where pooling pays
-  // the most.
-  TileSpgemmOptions opts;
-  opts.cache_pairs = true;
   const Csr<double> a = gen::rmat(12, 6.0, 7);
   const TileMatrix<double> ta = csr_to_tile(a);
   auto& tracker = MemoryTracker::instance();
@@ -39,14 +35,14 @@ int main(int argc, char** argv) {
   // context — and therefore a fresh workspace pool — on every call.
   for (int i = 0; i < kIters; ++i) {
     const std::int64_t before = tracker.allocated_total();
-    const TileSpgemmResult<double> res = tile_spgemm(ta, ta, opts);
+    const TileSpgemmResult<double> res = tile_spgemm(ta, ta);
     transient_it[i].alloc_mb =
         static_cast<double>(tracker.allocated_total() - before) / (1024.0 * 1024.0);
     transient_it[i].t = res.timings;
   }
 
-  // Reused path: one context for all iterations, same kernel options.
-  SpgemmContext ctx(SpgemmContext::Config{}.with_pair_cache(true));
+  // Reused path: one context for all iterations.
+  SpgemmContext ctx;
   for (int i = 0; i < kIters; ++i) {
     const std::int64_t before = tracker.allocated_total();
     const TileSpgemmResult<double> res = ctx.run(ta, ta);

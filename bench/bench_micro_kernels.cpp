@@ -238,37 +238,6 @@ void BM_TileTranspose(benchmark::State& state) {
 }
 BENCHMARK(BM_TileTranspose)->Arg(10)->Arg(13);
 
-void BM_PairCacheVsRecompute(benchmark::State& state) {
-  const Csr<double> a = gen::clustered_rows(1200, 4, 10, 87);
-  const TileMatrix<double> t = csr_to_tile(a);
-  TileSpgemmOptions opt;
-  opt.cache_pairs = state.range(0) != 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tile_spgemm(t, t, opt).c.nnz());
-  }
-}
-BENCHMARK(BM_PairCacheVsRecompute)->Arg(0)->Arg(1);
-
-// ------------------------------------------------------- symbolic kernel --
-
-/// Word-packed vs scalar step-2 symbolic (ISSUE 5): dense_blocks keeps the
-/// mask-OR phase dominant, so the whole-pipeline ratio tracks the kernel
-/// ratio closely. The --regress harness measures step2_ms in isolation; this
-/// gbench pair is the quick human-facing view of the same ablation.
-void BM_SymbolicKernel(benchmark::State& state, SymbolicKernel kernel) {
-  const Csr<double> a = gen::dense_blocks(static_cast<index_t>(state.range(0)), 16, 88);
-  const TileMatrix<double> t = csr_to_tile(a);
-  TileSpgemmOptions opt;
-  opt.symbolic = kernel;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tile_spgemm(t, t, opt).c.nnz());
-  }
-}
-void BM_SymbolicPacked(benchmark::State& s) { BM_SymbolicKernel(s, SymbolicKernel::kWordPacked); }
-void BM_SymbolicScalar(benchmark::State& s) { BM_SymbolicKernel(s, SymbolicKernel::kScalar); }
-BENCHMARK(BM_SymbolicPacked)->Arg(24)->Arg(64);
-BENCHMARK(BM_SymbolicScalar)->Arg(24)->Arg(64);
-
 // ------------------------------------------------------- dispatch levels --
 
 /// Whole-pipeline view of the SIMD dispatch ladder (ISSUE 10): one run per

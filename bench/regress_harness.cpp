@@ -261,16 +261,13 @@ int run_regress(int argc, char** argv) {
   // names keep measuring the same kernel on every host; the vector levels
   // get their own step2.<level>.* entries, measured only where available.
   SpgemmContext packed(SpgemmContext::Config{}.with_simd_level(simd::Level::kSwar));
-  SpgemmContext scalar(
-      SpgemmContext::Config{}.with_symbolic(SymbolicKernel::kScalar));
-  SpgemmContext cached(SpgemmContext::Config{}.with_pair_cache(true));
-  SpgemmContext tuned(SpgemmContext::Config{}.with_fused_path(true));
+  SpgemmContext scalar(SpgemmContext::Config{}.with_simd_level(simd::Level::kScalar));
   SpgemmContext avx2(SpgemmContext::Config{}.with_simd_level(simd::Level::kAvx2));
   SpgemmContext avx512(SpgemmContext::Config{}.with_simd_level(simd::Level::kAvx512));
   const bool has_avx2 = simd::level_available(simd::Level::kAvx2);
   const bool has_avx512 = simd::level_available(simd::Level::kAvx512);
 
-  std::vector<SpgemmContext*> ctxs = {&packed, &scalar, &cached, &tuned};
+  std::vector<SpgemmContext*> ctxs = {&packed, &scalar};
   if (has_avx2) ctxs.push_back(&avx2);
   if (has_avx512) ctxs.push_back(&avx512);
 
@@ -281,23 +278,22 @@ int run_regress(int argc, char** argv) {
     const std::vector<StepMedians> m = measure_interleaved(ctxs, t, args.reps);
     const StepMedians& m_packed = m[0];
     const StepMedians& m_scalar = m[1];
-    const StepMedians& m_cached = m[2];
-    const StepMedians& m_tuned = m[3];
 
     kernels["step2.packed." + sc.name] = m_packed.step2_ms;
     kernels["step2.scalar." + sc.name] = m_scalar.step2_ms;
     kernels["step3.recompute." + sc.name] = m_packed.step3_ms;
-    kernels["step3.cached." + sc.name] = m_cached.step3_ms;
-    kernels["e2e.tuned." + sc.name] = m_tuned.core_ms;
-    std::size_t next = 4;
+    std::size_t next = 2;
     if (has_avx2) {
       kernels["step2.avx2." + sc.name] = m[next].step2_ms;
       kernels["step3.avx2." + sc.name] = m[next].step3_ms;
       ++next;
     }
     if (has_avx512) {
+      // The whole engine (core_ms) at the level the default config runs
+      // on an AVX-512 host.
       kernels["step2.avx512." + sc.name] = m[next].step2_ms;
       kernels["step3.avx512." + sc.name] = m[next].step3_ms;
+      kernels["e2e.avx512." + sc.name] = m[next].core_ms;
       ++next;
     }
 
@@ -305,9 +301,9 @@ int run_regress(int argc, char** argv) {
         m_packed.step2_ms > 0.0 ? m_scalar.step2_ms / m_packed.step2_ms : 1.0;
     speedups.push_back(speedup);
     std::printf("  %-14s step2 scalar %8.4f ms  packed %8.4f ms  (%.2fx)   "
-                "step3 recompute %8.4f ms  cached %8.4f ms\n",
+                "step3 recompute %8.4f ms\n",
                 sc.name.c_str(), m_scalar.step2_ms, m_packed.step2_ms, speedup,
-                m_packed.step3_ms, m_cached.step3_ms);
+                m_packed.step3_ms);
     if (has_avx2 || has_avx512) {
       const StepMedians& m_best = m[ctxs.size() - 1];
       std::printf("  %-14s step2 %-6s %8.4f ms  (%.2fx over packed)   step3 %8.4f ms\n",

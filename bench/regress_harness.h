@@ -2,8 +2,9 @@
 // bench_micro_kernels).
 //
 // Measures the hot-path kernels — step-2 symbolic (word-packed vs the
-// scalar reference), step-3 numeric (cached pairs vs the paper's recompute
-// policy), and the tuned end-to-end core — as per-kernel medians over a
+// scalar reference level, plus each vector level), step-3 numeric per
+// level, and the whole engine's core_ms at the AVX-512 level the default
+// config runs on such a host — as per-kernel medians over a
 // deterministic step2-dominated synthetic suite (src/gen), and emits /
 // compares a flat JSON so CI can gate on regressions:
 //

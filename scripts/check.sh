@@ -286,10 +286,11 @@ stage_bench_regress() {
 
 stage_simd() {
   echo "=== simd: kernel A/B suites under every forced dispatch level ==="
-  # One build, then the bit-identity suites (test_kernel_ab pits the packed
-  # pipeline against the scalar oracle; test_simd_dispatch A/Bs every
-  # primitive and the fused bins; test_spgemm_options and test_semiring
-  # check the option grid and the semiring pass against references)
+  # One build, then the bit-identity suites (test_kernel_ab pits the
+  # default level's pipeline against the scalar oracle; test_simd_dispatch
+  # A/Bs every primitive and the whole pipeline per level;
+  # test_spgemm_options and test_semiring check the option grid and the
+  # semiring pass against references)
   # re-run with TSG_SIMD forcing each level. Levels the host cannot execute
   # are skipped with a notice — the CI job is green on any x86-64,
   # exhaustive on AVX-512 hardware.

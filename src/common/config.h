@@ -24,18 +24,11 @@ inline constexpr index_t kTileDim = 16;
 /// Maximum number of nonzeros a tile can hold (kTileDim^2).
 inline constexpr index_t kTileNnzMax = kTileDim * kTileDim;
 
-/// The paper's adaptive accumulator threshold `tnnz` (Section 3.3): output
-/// tiles with more than 75% of kTileNnzMax nonzeros take its dense
-/// accumulator. Step 3 does not switch on it (DESIGN.md §4); it serves as
-/// the default nnz cap of the unbinned fused path.
-inline constexpr index_t kAccumulatorThreshold = kTileNnzMax * 3 / 4;  // 192
-
 /// Number of cost bins the SpgemmContext scheduler partitions C tiles into
 /// (bin 0 lightest). Heavy bins are dispatched first so the long-pole tiles
 /// never land at the tail of a dynamically scheduled loop.
 inline constexpr int kCostBins = 4;
 
 static_assert(kTileDim <= 16, "local indices must fit in 4 bits");
-static_assert(kAccumulatorThreshold == 192, "paper uses tnnz = 192 for 16x16 tiles");
 
 }  // namespace tsg

@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <type_traits>
 #include <vector>
 
 #include "common/config.h"
@@ -34,12 +33,6 @@ struct MatchedPair {
   offset_t tile_a;
   offset_t tile_b;
 };
-
-// Pairs are bulk-copied between per-thread caches and the step-3 consumers
-// (vector::insert over raw ranges); the type must stay a plain value.
-static_assert(std::is_trivially_copyable_v<MatchedPair> &&
-                  std::is_standard_layout_v<MatchedPair>,
-              "MatchedPair is memcpy'd through per-thread pair caches");
 
 namespace detail {
 

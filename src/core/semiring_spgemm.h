@@ -26,10 +26,13 @@
 #include "core/tile_convert.h"
 #include "core/tile_kernels.h"
 #include "core/tile_spgemm.h"
+#include "core/validate.h"
 
 namespace tsg {
 
-/// C = A (x) B over the given semiring through a reusable context.
+/// C = A (x) B over the given semiring through a reusable context. The
+/// operands are validated at the context's ValidationLevel / NanPolicy;
+/// a failure, like a dimension mismatch, throws tsg::Error.
 template <class Semiring, class T>
 TileMatrix<T> tile_spgemm_semiring(SpgemmContext& ctx, const TileMatrix<T>& a,
                                    const TileMatrix<T>& b) {
@@ -37,15 +40,25 @@ TileMatrix<T> tile_spgemm_semiring(SpgemmContext& ctx, const TileMatrix<T>& a,
   if (a.cols != b.rows) {
     throw Error(Status::dimension_mismatch("tile_spgemm_semiring: inner dimensions differ"));
   }
-  const TileSpgemmOptions& options = ctx.config().options;
+  // The context's operand checks, as try_run applies them (an aliased B is
+  // checked once).
+  const SpgemmContext::Config& cfg = ctx.config();
+  if (Status s = validate_tile_operand(a, "A", cfg.validation, cfg.nan_policy); !s.ok()) {
+    throw Error(s);
+  }
+  if (&a != &b) {
+    if (Status s = validate_tile_operand(b, "B", cfg.validation, cfg.nan_policy); !s.ok()) {
+      throw Error(s);
+    }
+  }
+  const TileSpgemmOptions& options = cfg.options;
   SpgemmWorkspace<T>& ws = ctx.workspace<T>();
   ws.ensure_threads(max_workers());
   ws.begin_call();
-  // Structural symbolic pass only — the semiring numeric below re-runs the
-  // intersection, so the plan requests neither caching nor fusion (fused
-  // values would be plus-times, not the semiring's combine/reduce). It
-  // carries the context's cancellation token, armed for step 1 too as
-  // run_impl does (begin_call just cleared the previous one).
+  // Structural symbolic pass only; the semiring numeric below re-runs the
+  // intersection. The plan carries the context's cancellation token, armed
+  // for step 1 too as run_impl does (begin_call just cleared the previous
+  // one).
   ExecutionPlan plan;
   plan.cancel = ctx.cancel_token();
   ws.cancel = plan.cancel;

@@ -45,8 +45,8 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // kScalar: the per-row / per-bit reference kernels. These mirror the
-// SymbolicKernel::kScalar branch of step 2 and the per-row materialize
-// oracle — every other level must be memcmp-identical to them.
+// kScalar branch of step 2 and the per-row materialize oracle — every
+// other level must be memcmp-identical to them.
 
 void mask_or_scalar(const rowmask_t* mask_a, const rowmask_t* mask_b,
                     std::uint64_t cm[kTileMaskWords]) {

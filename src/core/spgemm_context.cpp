@@ -34,10 +34,8 @@ void publish_run_metrics(const TileSpgemmTimings& tm) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
   static obs::Counter& runs = reg.counter("spgemm.runs");
   static obs::Counter& scheduled = reg.counter("spgemm.tiles.scheduled");
-  static obs::Counter& fused = reg.counter("spgemm.tiles.fused");
   static obs::Counter& chunks = reg.counter("spgemm.chunks");
   static obs::Counter& degraded = reg.counter("spgemm.runs.degraded");
-  static obs::Counter& cache_dropped = reg.counter("spgemm.runs.cache_dropped");
   static std::array<obs::Counter*, kCostBins> bins = {
       &reg.counter("spgemm.tiles.bin0"), &reg.counter("spgemm.tiles.bin1"),
       &reg.counter("spgemm.tiles.bin2"), &reg.counter("spgemm.tiles.bin3")};
@@ -53,10 +51,8 @@ void publish_run_metrics(const TileSpgemmTimings& tm) {
     levels[static_cast<std::size_t>(tm.simd_level)]->inc();
   }
   scheduled.add(tm.scheduled_tiles);
-  fused.add(tm.fused_tiles);
   chunks.add(tm.chunks);
   if (tm.budget_limited) degraded.inc();
-  if (tm.pair_cache_dropped) cache_dropped.inc();
   for (int bin = 0; bin < kCostBins; ++bin) {
     bins[static_cast<std::size_t>(bin)]->add(tm.bin_tiles[static_cast<std::size_t>(bin)]);
   }
@@ -64,8 +60,7 @@ void publish_run_metrics(const TileSpgemmTimings& tm) {
 
 /// Cost bin of one C tile. The estimated intersection work is the sum of
 /// the two list lengths (the indexed walk is linear in B's list plus one
-/// bind of A's, and the search branch is cheaper still), which also bounds
-/// the number of matched pairs the numeric phase accumulates.
+/// bind of A's, and the search branch is cheaper still).
 int bin_of(offset_t cost) {
   if (cost <= 8) return 0;
   if (cost <= 32) return 1;
@@ -140,37 +135,6 @@ std::string mb_string(std::size_t bytes) {
   return buf;
 }
 
-/// Guaranteed upper bound on the device-side bytes one C tile needs during
-/// steps 2-3: output staging in the output's layout at the 256-nonzero tile
-/// maximum plus whatever the active plan caches per tile (matched pairs,
-/// staged fused values). Deliberately a bound, not an estimate — chunking
-/// decisions made from it are always safe.
-template <class T>
-std::size_t tile_bytes_bound(const TileMatrix<T>& a, const TileLayoutCsc& b_csc, index_t ti,
-                             index_t tj, bool cache_pairs, bool fuse_light,
-                             int fuse_bin_cap, bool csr_out) {
-  std::size_t bytes = tile_output_bytes_bound<T>(csr_out);
-  const offset_t len_a = a.tile_ptr[static_cast<std::size_t>(ti) + 1] -
-                         a.tile_ptr[static_cast<std::size_t>(ti)];
-  const offset_t len_b = b_csc.col_ptr[static_cast<std::size_t>(tj) + 1] -
-                         b_csc.col_ptr[static_cast<std::size_t>(tj)];
-  if (cache_pairs) {
-    const std::size_t pairs = static_cast<std::size_t>(len_a < len_b ? len_a : len_b);
-    bytes += pairs * sizeof(MatchedPair) + sizeof(detail::TileSlot);
-  }
-  if (fuse_light) {
-    // Per-bin fusing: when binning is active (fuse_bin_cap >= 0 mirrors
-    // ExecutionPlan::fuses_tile via the same bin_of cost), only tiles in a
-    // fusing bin can stage values; without binning any tile may.
-    const bool stages =
-        fuse_bin_cap >= kCostBins || bin_of(len_a + len_b) <= fuse_bin_cap;
-    if (stages) {
-      bytes += static_cast<std::size_t>(kTileNnzMax) * sizeof(T) + sizeof(detail::TileSlot);
-    }
-  }
-  return bytes;
-}
-
 /// Outcome of the post-step-1 budget check.
 struct BudgetPlan {
   bool limited = false;       ///< single-shot footprint exceeds the budget
@@ -181,15 +145,15 @@ struct BudgetPlan {
   std::vector<std::pair<index_t, index_t>> chunks;
 };
 
-/// Bound the per-call footprint (pooled scratch after step 1 + per-tile
-/// staging) against the modeled device budget and, when it does not fit,
-/// greedily partition C's tile rows into chunks that each do. All byte
-/// arithmetic is overflow-checked and saturates to SIZE_MAX, which simply
-/// reads as "does not fit".
+/// Bound the per-call footprint (pooled scratch after step 1 + one
+/// tile_output_bytes_bound per C tile, a bound rather than an estimate, so
+/// chunking decisions made from it are always safe) against the modeled
+/// device budget and, when it does not fit, greedily partition C's tile
+/// rows into chunks that each do. All byte arithmetic is overflow-checked
+/// and saturates to SIZE_MAX, which simply reads as "does not fit".
 template <class T>
-BudgetPlan plan_budget(const TileMatrix<T>& a, const TileLayoutCsc& b_csc,
-                       const TileStructure& st, const SpgemmWorkspace<T>& ws, bool cache_pairs,
-                       bool fuse_light, int fuse_bin_cap, bool csr_out, bool degrade) {
+BudgetPlan plan_budget(const TileMatrix<T>& a, const TileStructure& st,
+                       const SpgemmWorkspace<T>& ws, bool csr_out, bool degrade) {
   constexpr std::size_t kSat = static_cast<std::size_t>(-1);
   BudgetPlan out;
   out.budget = device_memory_budget_bytes();
@@ -207,28 +171,13 @@ BudgetPlan plan_budget(const TileMatrix<T>& a, const TileLayoutCsc& b_csc,
                     (st.tile_col_idx.size() + 1) * sizeof(offset_t);
   if (!checked_add(fixed, top_level, fixed)) fixed = kSat;
 
-  // Per-tile-row staging bounds; these drive both the single-shot verdict
-  // and the greedy partition.
-  const index_t tile_rows = st.tile_rows;
-  std::vector<std::size_t> row_bytes(static_cast<std::size_t>(tile_rows), 0);
+  // Every C tile is charged the same bound, so the single-shot verdict
+  // needs only the tile count and the partition below only tile counts.
+  const std::size_t per_tile = tile_output_bytes_bound<T>(csr_out);
   std::size_t staging = 0;
-  for (index_t tr = 0; tr < tile_rows; ++tr) {
-    std::size_t rb = 0;
-    for (offset_t t = st.tile_ptr[static_cast<std::size_t>(tr)];
-         t < st.tile_ptr[static_cast<std::size_t>(tr) + 1]; ++t) {
-      const index_t ti = st.tile_row_idx[static_cast<std::size_t>(t)];
-      const index_t tj = st.tile_col_idx[static_cast<std::size_t>(t)];
-      const std::size_t tb =
-          tile_bytes_bound(a, b_csc, ti, tj, cache_pairs, fuse_light, fuse_bin_cap, csr_out);
-      if (!checked_add(rb, tb, rb)) {
-        rb = kSat;
-        break;
-      }
-    }
-    row_bytes[static_cast<std::size_t>(tr)] = rb;
-    if (staging != kSat && !checked_add(staging, rb, staging)) staging = kSat;
-  }
-  if (fixed == kSat || staging == kSat || !checked_add(fixed, staging, out.estimate)) {
+  if (fixed == kSat ||
+      !checked_mul(static_cast<std::size_t>(st.num_tiles()), per_tile, staging) ||
+      !checked_add(fixed, staging, out.estimate)) {
     out.estimate = kSat;
   }
   if (out.estimate <= out.budget) return out;
@@ -236,26 +185,22 @@ BudgetPlan plan_budget(const TileMatrix<T>& a, const TileLayoutCsc& b_csc,
   out.limited = true;
   if (!degrade) return out;  // the caller turns this into kBudgetExceeded
 
-  // Greedy tile-row partition. Every chunk's staging bound fits within the
-  // budget left after the fixed share; a single tile row that exceeds that
-  // on its own becomes its own best-effort chunk (one row is the finest
-  // granularity the pipeline can execute).
+  // Greedy tile-row partition. Every chunk holds at most the tiles whose
+  // bounds fit the budget left after the fixed share; a single tile row
+  // that exceeds that on its own becomes its own best-effort chunk (one row
+  // is the finest granularity the pipeline can execute).
   const std::size_t chunk_budget = out.budget > fixed ? out.budget - fixed : 1;
+  const std::size_t max_tiles = chunk_budget / per_tile;
   index_t lo = 0;
-  std::size_t acc = 0;
-  for (index_t tr = 0; tr < tile_rows; ++tr) {
-    const std::size_t rb = row_bytes[static_cast<std::size_t>(tr)];
-    std::size_t next = 0;
-    const bool fits = checked_add(acc, rb, next) && next <= chunk_budget;
-    if (!fits && tr > lo) {
+  for (index_t tr = 0; tr < st.tile_rows; ++tr) {
+    const auto tiles = static_cast<std::size_t>(st.tile_ptr[static_cast<std::size_t>(tr) + 1] -
+                                                st.tile_ptr[static_cast<std::size_t>(lo)]);
+    if (tiles > max_tiles && tr > lo) {
       out.chunks.emplace_back(lo, tr);
       lo = tr;
-      acc = rb;
-    } else {
-      acc = fits ? next : rb;
     }
   }
-  out.chunks.emplace_back(lo, tile_rows);
+  out.chunks.emplace_back(lo, st.tile_rows);
   return out;
 }
 
@@ -368,20 +313,14 @@ SpgemmContext::SpgemmContext(const Config& config)
 template <class T>
 ExecutionPlan SpgemmContext::make_plan(const TileMatrix<T>& a, const TileLayoutCsc& b_csc,
                                        const TileStructure& structure, SpgemmWorkspace<T>& ws,
-                                       bool cache_pairs, bool fuse_light,
                                        TileSpgemmTimings& tm) {
   ExecutionPlan plan;
-  plan.cache_pairs = cache_pairs;
-  plan.cache_min_bin = cfg_.pair_cache_min_bin;
-  plan.fuse_light = fuse_light && cache_pairs;
-  plan.fuse_threshold = cfg_.fuse_threshold;
-  plan.fuse_max_bin = cfg_.fuse_max_bin;
   plan.cancel = cancel_;
 
   const offset_t ntiles = structure.num_tiles();
   // Accumulated, not assigned: chunked execution builds one plan per chunk.
   tm.scheduled_tiles += ntiles;
-  if (!cfg_.cost_binning || ntiles == 0) return plan;
+  if (ntiles == 0) return plan;
 
   ScopedAccumulator scope(tm.plan_ms);
   TSG_TRACE_SPAN("plan", ntiles);
@@ -415,10 +354,6 @@ ExecutionPlan SpgemmContext::make_plan(const TileMatrix<T>& a, const TileLayoutC
     tm.bin_tiles[static_cast<std::size_t>(bin)] += count[static_cast<std::size_t>(bin)];
   }
   plan.order = ws.schedule.data();
-  // With the bins known, steps 2/3 can select the pair cache per cost bin
-  // (cache_min_bin); without binning tile_bin stays null and every tile
-  // caches, matching the pre-bin behaviour.
-  plan.tile_bin = ws.cost_bin.data();
   return plan;
 }
 
@@ -465,30 +400,16 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
   check_cancelled();
 
   // Budget decision: bound the per-call footprint now that step 1 fixed the
-  // output's tile structure, and degrade in stages if it does not fit the
-  // modeled device: first drop the pair cache / fused staging (the paper's
-  // recompute policy holds zero global intermediate state), then chunk.
-  bool cache_pairs = cfg_.options.cache_pairs;
-  bool fuse_light = cfg_.fuse_light_tiles && cache_pairs;
-  // Size the per-thread A tile-row indexes now (steps 2/3 only re-unbind
-  // them), so the fixed share plan_budget reads from ws.bytes() counts them.
+  // output's tile structure, and chunk if it does not fit the modeled
+  // device. Size the per-thread A tile-row indexes first (steps 2/3 only
+  // re-unbind them), so the fixed share plan_budget reads from ws.bytes()
+  // counts them.
   ws.reset_row_index(a.tile_cols);
   BudgetPlan budget;
   {
     ScopedAccumulator scope(tm.plan_ms);
     TSG_TRACE_SPAN("plan.budget");
-    // fuse_bin_cap >= kCostBins encodes "binning off: any tile may stage".
-    const int fuse_bin_cap = cfg_.cost_binning ? cfg_.fuse_max_bin : kCostBins;
-    const bool csr_out = csr != nullptr;
-    budget = plan_budget(a, ws.b_csc, ws.structure, ws, cache_pairs, fuse_light, fuse_bin_cap,
-                         csr_out, cfg_.degrade_on_budget);
-    if (budget.limited && cache_pairs) {
-      budget = plan_budget(a, ws.b_csc, ws.structure, ws, false, false, fuse_bin_cap, csr_out,
-                           cfg_.degrade_on_budget);
-      cache_pairs = false;
-      fuse_light = false;
-      tm.pair_cache_dropped = true;
-    }
+    budget = plan_budget(a, ws.structure, ws, csr != nullptr, cfg_.degrade_on_budget);
   }
   tm.budget_limited = budget.limited;
   if (budget.limited && !cfg_.degrade_on_budget) {
@@ -499,15 +420,13 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
   }
 
   if (budget.limited) {
-    run_chunked(a, b, budget.chunks, ws, cache_pairs, fuse_light, result, csr);
+    run_chunked(a, b, budget.chunks, ws, result, csr);
     tm.chunks = static_cast<int>(budget.chunks.size());
   } else {
     // Cost model + binned schedule (plan_ms).
-    const ExecutionPlan plan =
-        make_plan(a, ws.b_csc, ws.structure, ws, cache_pairs, fuse_light, tm);
+    const ExecutionPlan plan = make_plan(a, ws.b_csc, ws.structure, ws, tm);
 
-    // Step 2: per-tile symbolic -> nnz, row pointers, masks (and, under the
-    // fused plan, staged values for light tiles).
+    // Step 2: per-tile symbolic -> nnz, row pointers, masks.
     Step2Result symbolic;
     {
       ScopedAccumulator scope(tm.step2_ms);
@@ -518,7 +437,6 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
     // symbolic result — bail out before C is allocated from it.
     cancel_.note_progress();
     check_cancelled();
-    tm.fused_tiles = symbolic.fused_tiles;
 
     // Allocate C (the only sizeable allocation of the whole algorithm) in
     // the caller's layout.
@@ -562,8 +480,8 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
 template <class T>
 void SpgemmContext::run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
                                 const std::vector<std::pair<index_t, index_t>>& chunks,
-                                SpgemmWorkspace<T>& ws, bool cache_pairs, bool fuse_light,
-                                TileSpgemmResult<T>& result, Csr<T>* csr) {
+                                SpgemmWorkspace<T>& ws, TileSpgemmResult<T>& result,
+                                Csr<T>* csr) {
   const TileStructure& st = ws.structure;
   TileSpgemmTimings& tm = result.timings;
   TileMatrix<T>& c = result.c;
@@ -607,8 +525,6 @@ void SpgemmContext::run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
     cancel_.note_progress();
     check_cancelled();
 
-    ws.begin_call();  // drop the previous chunk's pair cache / staged values
-    ws.cancel = cancel_;  // begin_call cleared the per-call token
     {
       ScopedAccumulator scope(tm.alloc_ms);
       chunk_st.tile_row_idx.assign(st.tile_row_idx.begin() + static_cast<std::ptrdiff_t>(tlo),
@@ -617,8 +533,7 @@ void SpgemmContext::run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
                                    st.tile_col_idx.begin() + static_cast<std::ptrdiff_t>(thi));
     }
 
-    const ExecutionPlan plan =
-        make_plan(a, ws.b_csc, chunk_st, ws, cache_pairs, fuse_light, tm);
+    const ExecutionPlan plan = make_plan(a, ws.b_csc, chunk_st, ws, tm);
 
     Step2Result symbolic;
     {
@@ -627,7 +542,6 @@ void SpgemmContext::run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
       symbolic = step2_symbolic(a, b, ws.b_csc, chunk_st, cfg_.options, ws, plan);
     }
     check_cancelled();  // don't allocate this chunk's slice from a hole
-    tm.fused_tiles += symbolic.fused_tiles;
 
     // A CSR C grows by the chunk's rows: the offset pass continues the row
     // pointers where the previous chunk ended, and step 3 writes straight

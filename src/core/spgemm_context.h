@@ -29,12 +29,12 @@
 // the same Status.
 //
 // Budget enforcement (the paper's Fig. 9 robustness claim): after step 1
-// the context bounds the per-call device-side footprint — step-2/3 output
-// staging plus the pooled scratch — against the modeled device budget. If
-// it does not fit, the multiply degrades gracefully: C's tile rows are
-// split into chunks that each fit, the pipeline runs chunk by chunk
-// through the same pooled workspace, and the chunks are stitched into the
-// final matrix. Results are bit-identical to the single-shot run;
+// the context bounds the per-call device-side footprint — one constant
+// output bound per C tile plus the pooled scratch — against the modeled
+// device budget. If it does not fit, the multiply degrades gracefully: C's
+// tile rows are split into chunks that each fit, the pipeline runs chunk by
+// chunk through the same pooled workspace, and the chunks are stitched into
+// the final matrix. Results are bit-identical to the single-shot run;
 // TileSpgemmTimings::chunks / budget_limited report what happened.
 //
 // Output layout: the entry point fixes it, so there is no knob. Tile in
@@ -44,6 +44,10 @@
 // column indices and values straight there. No tile-layout copy of C's
 // entries exists on that path; a chunked CSR run grows C by each chunk's
 // rows, so its chunks concatenate without a stitch copy.
+//
+// Intermediate state: none per output tile, as in the paper. Step 2 keeps
+// only C's symbolic arrays, and step 3 re-runs the set intersection rather
+// than reading matched pairs from a cache.
 //
 // The free functions tile_spgemm() / spgemm_tile() / tile_spgemm_aat() /
 // tile_spgemm_masked() remain as thin wrappers that create a transient
@@ -72,41 +76,15 @@ class SpgemmContext {
   /// setters return *this so configs compose inline:
   ///
   ///     SpgemmContext ctx(SpgemmContext::Config::from_env()
-  ///                           .with_pair_cache(true)
-  ///                           .with_fused_path(true));
+  ///                           .with_threads(4)
+  ///                           .with_device_mem_mb(512));
   struct Config {
-    /// Kernel options (symbolic kernel, pair caching, SIMD level) —
-    /// defaults follow the paper.
+    /// Kernel options (the SIMD level) — defaults follow the paper.
     TileSpgemmOptions options{};
     /// Worker threads for everything a call on this context runs —
     /// validation, conversion and every step (see ThreadScope); 0 keeps
     /// the library-wide setting (set_num_threads / OMP_NUM_THREADS).
     int threads = 0;
-    /// Cost-bin the C tiles by estimated intersection work and visit heavy
-    /// bins first. Pure scheduling: results are bit-identical either way.
-    bool cost_binning = true;
-    /// Fuse step 3 into step 2 for tiles of at most fuse_threshold
-    /// nonzeros. Requires (and with_fused_path() enables) the pair cache;
-    /// heavy tiles still take the staged path with cached pairs.
-    bool fuse_light_tiles = false;
-    /// Largest tile (by nnz) the fused path handles in-visit — the
-    /// fallback gate when cost binning is off. With binning on, whole
-    /// bins fuse instead (fuse_max_bin below).
-    index_t fuse_threshold = kAccumulatorThreshold;
-    /// Highest cost bin the fused step-2→3 path handles when cost binning
-    /// is on: the planner fuses bins 0..fuse_max_bin wholesale (decided by
-    /// scheduled intersection cost, known before the symbolic result), and
-    /// heavier bins stage pairs for step 3. -1 fuses nothing, kCostBins-1
-    /// fuses everything. Results are bit-identical at any setting.
-    int fuse_max_bin = 1;
-    /// Lowest cost bin whose tiles record matched pairs when the pair cache
-    /// is on and cost binning is active. Bin 0 tiles (intersection lists of
-    /// <= 8 entries) re-intersect for less than the cost of staging and
-    /// reloading their pairs, so the default keeps the paper's recompute
-    /// policy for them and caches bins >= 1. 0 caches every bin; >= kCostBins
-    /// caches none. Without cost binning the bin is unknown and every tile
-    /// caches (the pre-bin behaviour). Results are bit-identical throughout.
-    int pair_cache_min_bin = 1;
     /// Modeled device-memory budget in MB; 0 keeps TSG_DEVICE_MEM_MB (or
     /// its 420 MB default). Published process-wide at context creation and
     /// *enforced* by every run: a call whose estimated footprint exceeds it
@@ -140,21 +118,11 @@ class SpgemmContext {
     CancelToken cancel_token;
 
     Config& with_options(const TileSpgemmOptions& o) { options = o; return *this; }
-    Config& with_pair_cache(bool on) { options.cache_pairs = on; return *this; }
-    Config& with_pair_cache_min_bin(int bin) { pair_cache_min_bin = bin; return *this; }
-    Config& with_symbolic(SymbolicKernel k) { options.symbolic = k; return *this; }
     Config& with_threads(int n) { threads = n; return *this; }
-    Config& with_cost_binning(bool on) { cost_binning = on; return *this; }
-    Config& with_fused_path(bool on) {
-      fuse_light_tiles = on;
-      if (on) options.cache_pairs = true;
-      return *this;
-    }
-    Config& with_fuse_threshold(index_t t) { fuse_threshold = t; return *this; }
-    Config& with_fuse_max_bin(int bin) { fuse_max_bin = bin; return *this; }
     /// Force the step-2/3 kernel family's vector-ISA level (default: best
     /// available, or TSG_SIMD). Levels above what the build/host supports
-    /// clamp down at run time; every level is bit-identical.
+    /// clamp down at run time; every level is bit-identical, and kScalar is
+    /// the reference oracle.
     Config& with_simd_level(simd::Level level) { options.simd = level; return *this; }
     Config& with_device_mem_mb(std::size_t mb) { device_mem_mb = mb; return *this; }
     Config& with_degradation(bool on) { degrade_on_budget = on; return *this; }
@@ -217,7 +185,7 @@ class SpgemmContext {
   }
 
   /// C = A * B on tile-format operands. Timings carry the per-step
-  /// breakdown plus bin/fusion counters, the pooled-workspace footprint,
+  /// breakdown plus the cost-bin counters, the pooled-workspace footprint,
   /// and the budget outcome (chunks / budget_limited). Anticipated
   /// failures come back as a Status; the context stays reusable.
   /// Throwing twin: run().
@@ -285,13 +253,11 @@ class SpgemmContext {
 
  private:
   /// Cost-binned schedule over the tiles of `structure` (the full step-1
-  /// structure, or one chunk of it under budget degradation). `cache_pairs`
-  /// and `fuse_light` are passed in rather than read from cfg_ because the
-  /// budget planner may have dropped them for this run (recompute fallback).
+  /// structure, or one chunk of it under budget degradation).
   template <class T>
   ExecutionPlan make_plan(const TileMatrix<T>& a, const TileLayoutCsc& b_csc,
                           const TileStructure& structure, SpgemmWorkspace<T>& ws,
-                          bool cache_pairs, bool fuse_light, TileSpgemmTimings& tm);
+                          TileSpgemmTimings& tm);
 
   /// try_run's contract (threads, validation, Status conversion) around
   /// run_impl; `csr` as there.
@@ -312,8 +278,7 @@ class SpgemmContext {
   template <class T>
   void run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
                    const std::vector<std::pair<index_t, index_t>>& chunks,
-                   SpgemmWorkspace<T>& ws, bool cache_pairs, bool fuse_light,
-                   TileSpgemmResult<T>& result, Csr<T>* csr);
+                   SpgemmWorkspace<T>& ws, TileSpgemmResult<T>& result, Csr<T>* csr);
 
   /// Masked pipeline body (masked_spgemm.cpp); throws, try_run_masked converts.
   template <class T>

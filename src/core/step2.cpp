@@ -7,7 +7,6 @@
 #include "common/status.h"
 #include "core/simd_dispatch.h"
 #include "core/spgemm_workspace.h"
-#include "core/tile_kernels.h"
 #include "obs/metrics.h"
 
 namespace tsg {
@@ -30,15 +29,6 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
   out.mask.assign(checked_size_mul(static_cast<std::size_t>(ntiles), kTileDim), 0);
   ws.ensure_threads(max_workers());
   ws.reset_row_index(a.tile_cols);
-  // Filled with the uncached sentinel: tiles below the plan's cache bin (and
-  // fused tiles) never touch their slot, and step 3 must read those as
-  // "recompute", not as an empty cached pair list.
-  if (plan.cache_pairs) {
-    ws.pair_slot.assign(static_cast<std::size_t>(ntiles),
-                        detail::TileSlot{detail::kTileSlotUncached, 0, 0});
-  }
-  const bool fuse = plan.fuse_light && plan.cache_pairs;
-  if (fuse) ws.staged_slot.assign(static_cast<std::size_t>(ntiles), {});
 
   // Kernel dispatch, resolved once per call (never per tile): the SWAR
   // hybrid stays inline below — its per-pair loop is too hot for an
@@ -46,17 +36,12 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
   const simd::Level lvl = effective_simd_level(options);
   const simd::SymbolicOps* vec =
       lvl >= simd::Level::kAvx2 ? &simd::symbolic_ops(lvl) : nullptr;
-  const simd::NumericOps& nops = simd::numeric_ops(lvl);
 
   // Per-tile detail instruments, resolved once per call. The gate is read
   // once here: flipping it mid-run only affects the next call.
   const bool detail_metrics = obs::metrics_detail_enabled();
   static obs::Counter& m_pairs =
       obs::MetricsRegistry::instance().counter("spgemm.intersect.pairs");
-  static obs::Counter& m_fused_rows =
-      obs::MetricsRegistry::instance().counter("spgemm.accumulate.row_kernel");
-  static obs::Counter& m_fused_scatter =
-      obs::MetricsRegistry::instance().counter("spgemm.accumulate.rank_scatter");
   static obs::Histogram& m_tile_nnz = obs::MetricsRegistry::instance().histogram(
       "spgemm.tile_nnz", {0, 4, 16, 64, 128, 256});
 
@@ -76,12 +61,10 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
     const offset_t t = plan.order != nullptr ? plan.order[i] : i;
     const index_t tile_i = structure.tile_row_idx[static_cast<std::size_t>(t)];
     const index_t tile_j = structure.tile_col_idx[static_cast<std::size_t>(t)];
-    const int tid = worker_rank();
-    typename SpgemmWorkspace<T>::ThreadSlot& slot = ws.slot(tid);
-
     // Set intersection of A's tile row `tile_i` with B's tile column
     // `tile_j` (Algorithm 2 lines 4-18).
-    const std::vector<MatchedPair>& pairs = slot.match(a, b_csc, tile_i, tile_j);
+    const std::vector<MatchedPair>& pairs =
+        ws.slot(worker_rank()).match(a, b_csc, tile_i, tile_j);
 
     // OR the selected row masks of B into the C masks (Algorithm 2 lines
     // 19-25, Figure 5): each nonzero of A_ik at local (r, c) contributes
@@ -90,14 +73,6 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
     const std::size_t base = static_cast<std::size_t>(t) * kTileDim;
     std::uint8_t* row_ptr_out = out.row_ptr.data() + base;
     rowmask_t* mask_out = out.mask.data() + base;
-    // The packed family derives into these stack locals and copies the 48
-    // bytes out; the fused numeric path below then reads the still-hot
-    // locals instead of reloading the tile's slice of the global symbolic
-    // arrays (the step2→step3 locality fusion buys).
-    alignas(32) rowmask_t mask_loc[kTileDim] = {};
-    std::uint8_t rp_loc[kTileDim] = {};
-    const rowmask_t* mask_src = mask_out;
-    const std::uint8_t* rp_src = row_ptr_out;
     if (lvl != simd::Level::kScalar) {
       // Word-packed, hybrid per A-tile: dense-ish tiles drive the OR phase
       // from A's row masks (one 8-byte load covers four rows, empty
@@ -146,15 +121,22 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
       for (int wi = 0; wi < kTileMaskWords; ++wi) {
         cm[wi] |= pack_rowmask_word(gather + wi * kRowsPerMaskWord);
       }
-      // Derivation into the locals (empty tiles skip it — the global
-      // arrays start zeroed). AVX levels use the table's vector kernel;
-      // otherwise the inline SWAR form: per-word lane popcounts and lane
-      // prefix sums give four row-pointer entries (and the running nnz
-      // count) per word, replacing sixteen per-row popcount iterations.
+      // Derivation of all 16 entries of the tile's masks and row pointers
+      // (empty tiles skip it — the arrays start zeroed). AVX levels use the
+      // table's vector kernel, which writes the tile's slice directly with
+      // two stores; otherwise the inline SWAR form: per-word lane popcounts
+      // and lane prefix sums give four row-pointer entries (and the running
+      // nnz count) per word, replacing sixteen per-row popcount iterations.
+      // The SWAR form fills zeroed stack locals and copies them out in one
+      // go: its 32 narrow stores made straight into the shared arrays read
+      // up to 40% slower on the regress harness's step2.packed kernels
+      // (docs/PERFORMANCE.md, "Item 7 verdicts").
       if ((cm[0] | cm[1] | cm[2] | cm[3]) != 0) {
         if (vec != nullptr) {
-          count = vec->derive(cm, mask_loc, rp_loc);
+          count = vec->derive(cm, mask_out, row_ptr_out);
         } else {
+          alignas(32) rowmask_t mask_loc[kTileDim] = {};
+          std::uint8_t rp_loc[kTileDim] = {};
           for (int wi = 0; wi < kTileMaskWords; ++wi) {
             const std::uint64_t w = cm[wi];
             const std::uint64_t excl = lane_prefix_sums16(lane_popcounts16(w)) << 16;
@@ -165,15 +147,13 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
             }
             count += static_cast<index_t>(std::popcount(w));
           }
+          std::memcpy(mask_out, mask_loc, sizeof(mask_loc));
+          std::memcpy(row_ptr_out, rp_loc, sizeof(rp_loc));
         }
-        std::memcpy(mask_out, mask_loc, sizeof(mask_loc));
-        std::memcpy(row_ptr_out, rp_loc, sizeof(rp_loc));
-        mask_src = mask_loc;
-        rp_src = rp_loc;
       }
     } else {
-      // Reference per-bit path (SymbolicKernel::kScalar), kept verbatim as
-      // the A/B oracle and the regression bench's speedup denominator.
+      // Reference per-bit path (simd::Level::kScalar), kept verbatim as the
+      // A/B oracle and the regression bench's speedup denominator.
       rowmask_t mask_c[kTileDim] = {};
       for (const MatchedPair& p : pairs) {
         const rowmask_t* mask_b = b.tile_mask(p.tile_b);
@@ -195,44 +175,11 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
       m_pairs.add(static_cast<std::int64_t>(pairs.size()));
       m_tile_nnz.observe(count);
     }
-
-    if (fuse && plan.fuses_tile(t, count)) {
-      // Fused numeric, selected per cost bin by the planner: the tile's
-      // structure is fully known, its matched pairs are still hot, and the
-      // packed family's symbolic result is still in the stack locals, so
-      // accumulate the values now and stage them in this thread's buffer;
-      // step 3 only copies them to their final home.
-      T vals[kTileNnzMax];
-      const detail::AccumulatePath path = detail::accumulate_tile_values(
-          a, b, pairs.data(), pairs.size(), mask_src, rp_src, count, vals, nops);
-      if (detail_metrics) {
-        (path == detail::AccumulatePath::kRankScatter ? m_fused_scatter : m_fused_rows).inc();
-      }
-      ws.staged_slot[static_cast<std::size_t>(t)] = {
-          static_cast<std::uint32_t>(tid), static_cast<offset_t>(slot.staged.size()),
-          static_cast<std::uint32_t>(count)};
-      slot.staged.insert(slot.staged.end(), vals, vals + count);
-    } else if (plan.caches_tile(t)) {
-      // Record this tile's pairs in the owning thread's buffer so step 3
-      // skips its re-intersection (see TileSpgemmOptions::cache_pairs).
-      // Tiles below the plan's cache bin skip this on purpose: their slot
-      // keeps the uncached sentinel and step 3 re-intersects them (the
-      // paper's recompute policy, cheaper than staging for light tiles).
-      ws.pair_slot[static_cast<std::size_t>(t)] = {
-          static_cast<std::uint32_t>(tid), static_cast<offset_t>(slot.cache.size()),
-          static_cast<std::uint32_t>(pairs.size())};
-      slot.cache.insert(slot.cache.end(), pairs.begin(), pairs.end());
-    }
   });
 
   // Offsets for allocating C (serial scan: numtiles is small relative to nnz).
   for (offset_t t = 0; t < ntiles; ++t) {
     out.tile_nnz[static_cast<std::size_t>(t) + 1] += out.tile_nnz[static_cast<std::size_t>(t)];
-  }
-  if (fuse) {
-    for (const detail::TileSlot& s : ws.staged_slot) {
-      if (s.count > 0) ++out.fused_tiles;
-    }
   }
   return out;
 }

@@ -4,12 +4,10 @@
 // the per-tile nonzero count and local row pointer. All per-tile state is
 // bounded by 16 masks / 256 nonzeros and lives on the stack — no global
 // intermediate space, which is the paper's answer to performance issue #2.
+// The matched pairs are not kept either: step 3 re-runs the intersection.
 //
-// Under an ExecutionPlan the pass can also (a) visit tiles in the binned
-// heavy-first order, (b) record each tile's matched pairs in the workspace
-// pair cache for step 3, and (c) fuse the numeric phase for light tiles:
-// once a tile's masks are known its values are accumulated immediately and
-// staged in the workspace, so step 3 only copies them out.
+// The ExecutionPlan sets the visit order (the binned heavy-first schedule)
+// and carries the cancellation token.
 #pragma once
 
 #include <cstdint>
@@ -30,15 +28,13 @@ struct Step2Result {
   tracked_vector<offset_t> tile_nnz;    ///< size numtiles+1, offsets
   tracked_vector<std::uint8_t> row_ptr; ///< numtiles*16 local row pointers
   tracked_vector<rowmask_t> mask;       ///< numtiles*16 row masks
-  offset_t fused_tiles = 0;             ///< tiles whose values were staged
 
   offset_t nnz() const { return tile_nnz.empty() ? 0 : tile_nnz.back(); }
 };
 
 /// Symbolic per-tile pass. `b_csc` is the column-major view of B's tile
-/// layout (tileColPtr_B / tileRowidx_B in Algorithm 2). Pair-cache and
-/// fused-value records land in `ws`; `plan` controls visit order, caching,
-/// and fusion.
+/// layout (tileColPtr_B / tileRowidx_B in Algorithm 2). `ws` supplies the
+/// per-thread intersection scratch; `plan` sets the visit order.
 template <class T>
 Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
                            const TileLayoutCsc& b_csc, const TileStructure& structure,

@@ -21,10 +21,6 @@ void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
   const offset_t ntiles = structure.num_tiles();
   ws.ensure_threads(max_workers());
   ws.reset_row_index(a.tile_cols);
-  const bool use_cache =
-      plan.cache_pairs && ws.pair_slot.size() == static_cast<std::size_t>(ntiles);
-  const bool use_staged = plan.fuse_light && plan.cache_pairs &&
-                          ws.staged_slot.size() == static_cast<std::size_t>(ntiles);
 
   TileMatrix<T>* const tile_out = out.tile;
   Csr<T>* const csr_out = out.csr;
@@ -44,8 +40,8 @@ void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
       "spgemm.tile_visit_us", {1, 2, 5, 10, 25, 50, 100, 1000});
 
   parallel_for(offset_t{0}, ntiles, [&](offset_t i) {
-    // Guard, not inline observes: the staged and empty-tile paths leave
-    // early and must still land in the duration histogram.
+    // Guard, not inline observes: the empty-tile path leaves early and must
+    // still land in the duration histogram.
     struct VisitGuard {
       bool on;
       double start_us;
@@ -85,57 +81,27 @@ void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
                        tile_out->col_idx.data() + nz_base);
     }
 
-    // The tile's values, in storage order, land in C's layout: one
-    // contiguous run of the tile arrays, or one segment per local row of
-    // the CSR rows, at the place the offset pass fixed.
-    const auto emit = [&](const T* vals) {
-      if (csr_out != nullptr) {
-        write_tile_rows(mask_c, vals, tile_j * kTileDim,
-                        csr_out->row_ptr.data() + static_cast<std::size_t>(tile_i) * kTileDim,
-                        out.place->offsets_of(t), csr_out->col_idx.data(), csr_out->val.data());
-      } else {
-        std::copy_n(vals, nnz_c, tile_out->val.data() + nz_base);
-      }
-    };
-
-    if (use_staged) {
-      // Fused path: step 2 already accumulated this tile's values.
-      const detail::TileSlot& s = ws.staged_slot[static_cast<std::size_t>(t)];
-      if (s.count > 0) {
-        emit(ws.slot(static_cast<int>(s.thread)).staged.data() + s.offset);
-        return;
-      }
-    }
-
-    // Gather the matched pairs: a borrowed span from the step-2 cache when
-    // this tile's cost bin recorded one, otherwise by re-running the
-    // intersection (the paper's zero-global-memory choice, which the plan
-    // keeps for light bins and the budget fallback).
-    const MatchedPair* pair_data = nullptr;
-    std::size_t pair_count = 0;
-    bool cached = false;
-    if (use_cache) {
-      const detail::TileSlot& s = ws.pair_slot[static_cast<std::size_t>(t)];
-      if (s.thread != detail::kTileSlotUncached) {
-        pair_data = ws.slot(static_cast<int>(s.thread)).cache.data() + s.offset;
-        pair_count = s.count;
-        cached = true;
-      }
-    }
-    if (!cached) {
-      const std::vector<MatchedPair>& pairs =
-          ws.slot(worker_rank()).match(a, b_csc, tile_i, tile_j);
-      pair_data = pairs.data();
-      pair_count = pairs.size();
-    }
-
+    // Re-gather the matched pairs (the paper's zero-global-memory choice:
+    // step 2 kept none) and accumulate the tile's values.
+    const std::vector<MatchedPair>& pairs =
+        ws.slot(worker_rank()).match(a, b_csc, tile_i, tile_j);
     T slots[kTileNnzMax];
     const detail::AccumulatePath path = detail::accumulate_tile_values(
-        a, b, pair_data, pair_count, mask_c, row_ptr_c, nnz_c, slots, nops);
+        a, b, pairs.data(), pairs.size(), mask_c, row_ptr_c, nnz_c, slots, nops);
     if (detail_metrics) {
       (path == detail::AccumulatePath::kRankScatter ? m_scatter : m_rows).inc();
     }
-    emit(slots);
+
+    // The tile's values, in storage order, land in C's layout: one
+    // contiguous run of the tile arrays, or one segment per local row of
+    // the CSR rows, at the place the offset pass fixed.
+    if (csr_out != nullptr) {
+      write_tile_rows(mask_c, slots, tile_j * kTileDim,
+                      csr_out->row_ptr.data() + static_cast<std::size_t>(tile_i) * kTileDim,
+                      out.place->offsets_of(t), csr_out->col_idx.data(), csr_out->val.data());
+    } else {
+      std::copy_n(slots, nnz_c, tile_out->val.data() + nz_base);
+    }
   });
 }
 

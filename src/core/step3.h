@@ -1,17 +1,13 @@
 // Step 3 of TileSpGEMM (Algorithm 3): the numeric phase. For every tile of
 // C the matched tile pairs are re-gathered (the intersection is cheap and
-// re-running it avoids storing pair lists in global memory, as on the GPU)
+// re-running it keeps no pair lists in global memory, as on the GPU; step 2
+// leaves only the tile's masks, row pointers and nonzero count behind)
 // and the products are accumulated into a dense 16x16 tile on the stack,
 // one dispatched B-row multiply-add per A nonzero (only the lanes in B's
 // row mask change), then compressed through C's masks. This departs from
 // the paper's tnnz = 192 switch between a sparse and a dense accumulator
 // (DESIGN.md says why); only tiles of at most detail::kRankScatterMaxNnz
 // nonzeros keep the rank-indexed scatter straight into their final slots.
-//
-// When the ExecutionPlan enabled the pair cache, step 2 left each tile's
-// matched pairs in the workspace and this pass skips the re-intersection;
-// when it enabled fusion, light tiles arrive with their values already
-// staged and only need copying into place.
 //
 // C is written once, in the caller's layout: either the tile layout's
 // low-level arrays, or, for a CSR caller, straight into C's CSR rows at the
@@ -36,9 +32,8 @@ struct Step3Output {
 };
 
 /// Numeric pass over the tiles of `structure`, whose symbolic result step 2
-/// left in `symbolic`. `ws` holds the per-thread intersection scratch plus
-/// any pair-cache / staged-value records written by step 2 under the same
-/// plan; see spgemm_context.cpp for the assembly around it.
+/// left in `symbolic`. `ws` holds the per-thread intersection scratch; see
+/// spgemm_context.cpp for the assembly around it.
 template <class T>
 void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
                    const TileLayoutCsc& b_csc, const TileStructure& structure,

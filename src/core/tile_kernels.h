@@ -1,8 +1,8 @@
-// Per-tile numeric kernels shared by step 3, the fused step-2+3 path, and
-// the masked/semiring variants. Each kernel works on one output tile whose
-// symbolic structure (16 row masks + local row pointers) is already known;
-// all state fits in registers / L1, mirroring the paper's warp-local
-// accumulation (Algorithm 3).
+// Per-tile numeric kernels shared by step 3 and the masked/semiring
+// variants. Each kernel works on one output tile whose symbolic structure
+// (16 row masks + local row pointers) is already known; all state fits in
+// registers / L1, mirroring the paper's warp-local accumulation
+// (Algorithm 3).
 #pragma once
 
 #include <bit>
@@ -94,7 +94,7 @@ inline constexpr index_t kRankScatterMaxNnz = 16;
 enum class AccumulatePath { kRankScatter, kRowKernel };
 
 /// Values of one C tile of `nnz_c` nonzeros into `slots` (capacity
-/// kTileNnzMax): the one accumulate step 3 and the fused step-2 path share.
+/// kTileNnzMax): step 3's accumulate.
 template <class T>
 inline AccumulatePath accumulate_tile_values(const TileMatrix<T>& a, const TileMatrix<T>& b,
                                              const MatchedPair* pairs, std::size_t pair_count,

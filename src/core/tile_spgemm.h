@@ -31,7 +31,7 @@ struct MetricsSnapshot;
 namespace tsg {
 
 /// Per-step wall-clock attribution, matching the paper's Fig. 10 categories
-/// plus the scheduling/fusion counters of the SpgemmContext engine.
+/// plus the scheduling counters of the SpgemmContext engine.
 struct TileSpgemmTimings {
   double step1_ms = 0.0;    ///< tile-structure symbolic SpGEMM
   double step2_ms = 0.0;    ///< per-tile symbolic (intersection + masks)
@@ -45,10 +45,12 @@ struct TileSpgemmTimings {
   /// directly, so C's assembly lands in alloc_ms and step3_ms instead.
   double convert_ms = 0.0;
 
-  /// Tiles per cost bin (bin 0 lightest); all zero when binning is off.
+  /// Tiles per cost bin (bin 0 lightest).
   std::array<offset_t, kCostBins> bin_tiles{};
   offset_t scheduled_tiles = 0;     ///< C tiles visited by steps 2/3
-  offset_t fused_tiles = 0;         ///< tiles resolved by the fused step-2+3 path
+  /// Always 0: the engine has no fused step-2+3 path. Kept only because the
+  /// end-to-end benchmark still reads it; remove it with that reader.
+  offset_t fused_tiles = 0;
   /// Kernel dispatch level the run executed at (numeric value of
   /// simd::Level: 0 scalar, 1 swar, 2 avx2, 3 avx512).
   int simd_level = 0;
@@ -61,11 +63,6 @@ struct TileSpgemmTimings {
   /// run degraded to chunked execution (the Fig. 9 "completes where others
   /// fail" scenario, now enforced rather than merely modeled).
   bool budget_limited = false;
-  /// True when the pair cache / fused staging was requested but dropped for
-  /// this run because its footprint did not fit the device budget — the
-  /// first stage of degradation, falling back to the paper's recompute
-  /// policy before resorting to chunked execution.
-  bool pair_cache_dropped = false;
   /// Registry activity of this run (counters/histograms as deltas, gauges
   /// as end-of-run values). Populated only when the context ran with
   /// metrics detail enabled (Config::with_metrics / TSG_METRICS); null

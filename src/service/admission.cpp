@@ -4,7 +4,6 @@
 
 #include "common/config.h"
 #include "common/status.h"
-#include "core/intersect.h"
 #include "core/spgemm_workspace.h"
 
 namespace tsg::service {
@@ -96,14 +95,10 @@ FootprintEstimate estimate_footprint(const Csr<double>& a, const Csr<double>& b)
                                    static_cast<std::size_t>(tile_count(b.cols)));
   est.c_tiles = pairs < grid ? pairs : grid;
 
-  // Per-tile staging mirrors plan_budget's tile_bytes_bound for a CSR
-  // output (the service is CSR in, CSR out) plus a pair-cache slot, with
-  // the pair records themselves charged once from the global pair bound
-  // (tighter than per-tile min(len_a, len_b) which is unknown here).
-  const std::size_t per_tile =
-      tile_output_bytes_bound<double>(/*csr_out=*/true) + sizeof(detail::TileSlot);
-  std::size_t bytes = sat_mul(est.c_tiles, per_tile);
-  bytes = sat_add(bytes, sat_mul(est.tile_pairs, sizeof(MatchedPair)));
+  // Per-tile staging is plan_budget's charge for a CSR output (the service
+  // is CSR in, CSR out): one tile_output_bytes_bound per C tile.
+  std::size_t bytes =
+      sat_mul(est.c_tiles, tile_output_bytes_bound<double>(/*csr_out=*/true));
 
   // Fixed share stand-in for the pooled workspace the planner adds after
   // step 1: the tiled operand views the run must hold (bounded by the CSR

@@ -7,9 +7,9 @@
 // kind of bound from the CSR operands alone, in one O(nnz(A) + nnz(B))
 // pass: it counts A's occupied tiles per tile-column and B's occupied
 // tiles per tile-row exactly, and from them bounds the number of matched
-// tile pairs — which simultaneously bounds ntiles(C) and the pair-cache
-// staging the planner would charge. OCEAN-style estimate-before-execute
-// (PAPERS.md): plan in O(sample-ish), execute only what was admitted.
+// tile pairs, which also bounds ntiles(C): the planner charges one constant
+// bound per C tile. OCEAN-style estimate-before-execute (PAPERS.md): plan
+// in O(sample-ish), execute only what was admitted.
 //
 // The estimate is deliberately an *upper bound*, never an undercount, so
 // admission decisions made from it are always safe: a request admitted as

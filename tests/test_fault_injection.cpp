@@ -19,9 +19,8 @@ namespace tsg {
 namespace {
 
 SpgemmContext::Config config() {
-  // threads(1): deterministic allocation order. Pair cache + fusion on so
-  // the sweep also covers the tracked per-thread cache/staged buffers.
-  return SpgemmContext::Config{}.with_threads(1).with_fused_path(true);
+  // threads(1): deterministic allocation order.
+  return SpgemmContext::Config{}.with_threads(1);
 }
 
 void expect_bit_identical(const TileMatrix<double>& x, const TileMatrix<double>& y) {
@@ -101,9 +100,10 @@ TEST(FaultInjection, EveryAllocationSiteSurfacesAsStatus) {
 }
 
 TEST(FaultInjection, EveryCsrRunAllocationSiteSurfacesAsStatus) {
-  // Same sweep through the CSR boundary: the tracked sites now include the
-  // CSR->tile conversions of both operands and the tile->CSR conversion of
-  // the result, all of which must unwind to kAllocationFailed too.
+  // Same sweep through the CSR boundary: beyond the engine's own sites it
+  // covers the one CSR->tile conversion of the aliased operand (C = A*A
+  // converts A once), the offset pass that places C's rows, and C's CSR
+  // arrays, all of which must unwind to kAllocationFailed too.
   const Csr<double> a = test::make_er_small();
 
   SpgemmContext golden_ctx(config());

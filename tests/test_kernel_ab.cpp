@@ -1,9 +1,9 @@
-// A/B bit-identity contracts for the PR-5 hot-path kernels: the word-packed
-// step-2 symbolic kernel vs the scalar reference, and the matched-pair cache
-// (per cost bin, and dropped under a tight device budget) vs the paper's
-// recompute policy. "Bit-identical" means every array of the produced
-// TileMatrix — structure and values — compares equal byte-for-byte; the
-// optimisations only reorder *reads*, never the accumulation order.
+// A/B bit-identity contracts for the hot-path kernels: the default
+// dispatch level's step-2 symbolic kernel vs the scalar reference level,
+// and chunked execution under a 1 MB device budget vs a roomy single shot.
+// "Bit-identical" means every array of the produced TileMatrix — structure
+// and values — compares equal byte-for-byte; the optimisations only
+// reorder *reads*, never the accumulation order.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -61,17 +61,22 @@ Csr<double> fuzz_matrix(std::uint64_t seed) {
   }
 }
 
-// ------------------------------------------------- packed vs scalar step2 --
+// ---------------------------------------- default level vs scalar oracle --
+
+/// The scalar reference level; a default Config runs the best available
+/// level (or the one TSG_SIMD forces).
+SpgemmContext::Config scalar_config() {
+  return SpgemmContext::Config{}.with_simd_level(simd::Level::kScalar);
+}
 
 class SymbolicAb : public ::testing::TestWithParam<int> {};
 
-TEST_P(SymbolicAb, WordPackedMatchesScalarBitExact) {
+TEST_P(SymbolicAb, DefaultLevelMatchesScalarBitExact) {
   const Csr<double> a = fuzz_matrix(static_cast<std::uint64_t>(GetParam()));
   const TileMatrix<double> ta = csr_to_tile(a);
-  TileSpgemmOptions packed, scalar;
-  packed.symbolic = SymbolicKernel::kWordPacked;
-  scalar.symbolic = SymbolicKernel::kScalar;
-  expect_tiles_identical(tile_spgemm(ta, ta, scalar).c, tile_spgemm(ta, ta, packed).c,
+  SpgemmContext scalar(scalar_config());
+  SpgemmContext dflt;
+  expect_tiles_identical(scalar.run(ta, ta).c, dflt.run(ta, ta).c,
                          "seed " + std::to_string(GetParam()));
 }
 
@@ -84,58 +89,21 @@ TEST(SymbolicAb, StructureClassesMatchBitExact) {
       {"band_wide", test::make_band_wide},   {"blocks", test::make_blocks},
       {"clustered", test::make_clustered},   {"hyper_sparse", test::make_hyper_sparse},
   };
+  SpgemmContext scalar(scalar_config());
+  SpgemmContext dflt;
   for (const test::GenCase& gc : cases) {
     const TileMatrix<double> t = csr_to_tile(gc.make());
-    TileSpgemmOptions packed, scalar;
-    packed.symbolic = SymbolicKernel::kWordPacked;
-    scalar.symbolic = SymbolicKernel::kScalar;
-    expect_tiles_identical(tile_spgemm(t, t, scalar).c, tile_spgemm(t, t, packed).c,
-                           gc.name);
+    expect_tiles_identical(scalar.run(t, t).c, dflt.run(t, t).c, gc.name);
   }
 }
 
-TEST(SymbolicAb, PackedPathStillMatchesReferenceProduct) {
-  // Belt and braces: beyond A/B identity, the packed default also has to be
+TEST(SymbolicAb, DefaultLevelStillMatchesReferenceProduct) {
+  // Belt and braces: beyond A/B identity, the default level also has to be
   // the right answer.
   const Csr<double> a = gen::dense_blocks(8, 16, 9301);
   test::check_against_reference(
       a, a, [](const Csr<double>& x, const Csr<double>& y) { return spgemm_tile(x, y); },
-      "packed vs reference");
-}
-
-// --------------------------------------------- cached vs recomputed pairs --
-
-class PairCacheAb : public ::testing::TestWithParam<int> {};
-
-TEST_P(PairCacheAb, CachedPairsMatchRecomputeBitExact) {
-  const Csr<double> a = fuzz_matrix(static_cast<std::uint64_t>(GetParam()) + 5000);
-  const TileMatrix<double> t = csr_to_tile(a);
-  SpgemmContext recompute(SpgemmContext::Config{}.with_pair_cache(false));
-  const TileMatrix<double> gold = recompute.run(t, t).c;
-  // Every bin cached (0), the default heavy-only split (1), and a bin that
-  // exceeds the binning range so the sentinel forces recompute everywhere.
-  for (const int min_bin : {0, 1, 99}) {
-    SpgemmContext cached(
-        SpgemmContext::Config{}.with_pair_cache(true).with_pair_cache_min_bin(min_bin));
-    const std::string what =
-        "min_bin " + std::to_string(min_bin) + " seed " + std::to_string(GetParam());
-    const TileMatrix<double> got = cached.run(t, t).c;
-    expect_tiles_identical(gold, got, what);
-    // The CSR path writes C's rows straight from step 3: byte for byte
-    // tile_to_csr of the same context's tile result.
-    Expected<Csr<double>> csr = cached.try_run_csr(a, a);
-    ASSERT_TRUE(csr.ok()) << what << ": " << csr.status().to_string();
-    test::expect_csr_bytes_equal(tile_to_csr(got), *csr, what + " csr");
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Fuzz, PairCacheAb, ::testing::Range(0, 16));
-
-TEST(PairCacheAb, FusedPathMatchesRecomputeBitExact) {
-  const TileMatrix<double> t = csr_to_tile(gen::clustered_rows(320, 3, 6, 9302));
-  SpgemmContext recompute(SpgemmContext::Config{}.with_pair_cache(false));
-  SpgemmContext fused(SpgemmContext::Config{}.with_fused_path(true));
-  expect_tiles_identical(recompute.run(t, t).c, fused.run(t, t).c, "fused");
+      "default level vs reference");
 }
 
 // ------------------------------------------- budget-degraded (chunked) AB --
@@ -145,36 +113,14 @@ struct BudgetOverrideGuard {
   ~BudgetOverrideGuard() { set_device_memory_budget_bytes(0); }
 };
 
-TEST(PairCacheAb, TightBudgetDropsCacheButStaysBitExact) {
-  BudgetOverrideGuard guard;
-  const TileMatrix<double> t = csr_to_tile(gen::banded(3000, 24, 9303));
-  SpgemmContext roomy(
-      SpgemmContext::Config{}.with_pair_cache(true).with_device_mem_mb(4096));
-  const TileSpgemmResult<double> gold = roomy.run(t, t);
-  ASSERT_FALSE(gold.timings.budget_limited);
-  ASSERT_FALSE(gold.timings.pair_cache_dropped);
-
-  // Staged degradation: the pair cache is dropped first (back to the paper's
-  // recompute policy), and only then does the run chunk; dropping the cache
-  // alone may already clear the budget, so only the drop flag is asserted —
-  // either way the payload must not move a bit.
-  SpgemmContext squeezed(
-      SpgemmContext::Config{}.with_pair_cache(true).with_device_mem_mb(2));
-  const TileSpgemmResult<double> degraded = squeezed.run(t, t);
-  EXPECT_TRUE(degraded.timings.pair_cache_dropped);
-  expect_tiles_identical(gold.c, degraded.c, "tight budget");
-}
-
-TEST(PairCacheAb, ChunkedFuzzStaysBitExact) {
+TEST(ChunkedAb, FuzzStaysBitExact) {
   BudgetOverrideGuard guard;
   for (int seed = 0; seed < 8; ++seed) {
     const TileMatrix<double> t =
         csr_to_tile(fuzz_matrix(static_cast<std::uint64_t>(seed) + 7000));
-    SpgemmContext roomy(
-        SpgemmContext::Config{}.with_pair_cache(true).with_device_mem_mb(4096));
+    SpgemmContext roomy(SpgemmContext::Config{}.with_device_mem_mb(4096));
     const TileMatrix<double> gold = roomy.run(t, t).c;
-    SpgemmContext squeezed(
-        SpgemmContext::Config{}.with_pair_cache(true).with_device_mem_mb(1));
+    SpgemmContext squeezed(SpgemmContext::Config{}.with_device_mem_mb(1));
     expect_tiles_identical(gold, squeezed.run(t, t).c, "seed " + std::to_string(seed));
   }
 }

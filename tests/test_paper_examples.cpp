@@ -148,13 +148,5 @@ TEST(PaperExamples, EmptyTilesAreAllowedInC) {
   EXPECT_EQ(tile_to_csr(res.c).nnz(), 0);
 }
 
-// Section 3.3's adaptive accumulator example: C12 dense (12 of 16 in the
-// 4x4 illustration = above 75%), C32 sparse (6 of 16). At real tile size
-// the threshold is 192 of 256.
-TEST(PaperExamples, AccumulatorThresholdIs75Percent) {
-  EXPECT_EQ(kAccumulatorThreshold, 192);
-  EXPECT_EQ(kAccumulatorThreshold, kTileNnzMax * 3 / 4);
-}
-
 }  // namespace
 }  // namespace tsg

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <limits>
+#include <utility>
 
 #include "common/random.h"
 #include "common/status.h"
@@ -123,6 +124,31 @@ TEST(Semiring, ContextThreadCountReachesTheSemiringPass) {
   EXPECT_EQ(WorkerRecordingPlusTimes::max_rank.load(), 0);
   EXPECT_EQ(WorkerRecordingPlusTimes::max_bound.load(), 1);
   EXPECT_EQ(num_threads(), 4) << "the context must restore the process setting";
+}
+
+TEST(Semiring, ContextValidationRefusesANanOperand) {
+  // The context's ValidationLevel / NanPolicy reach the semiring pass as
+  // they reach try_run: a NaN operand is refused before step 1, whether it
+  // is A (with B aliased to it) or only B.
+  Csr<double> bad = gen::erdos_renyi(200, 200, 2000, 78);
+  bad.val[bad.val.size() / 2] = std::numeric_limits<double>::quiet_NaN();
+  const TileMatrix<double> t_bad = csr_to_tile(bad);
+  const TileMatrix<double> t_ok = csr_to_tile(gen::erdos_renyi(200, 200, 2000, 79));
+  SpgemmContext strict(SpgemmContext::Config{}
+                           .with_validation(ValidationLevel::kFull)
+                           .with_nan_policy(NanPolicy::kReject));
+  const std::pair<const TileMatrix<double>*, const TileMatrix<double>*> operands[] = {
+      {&t_bad, &t_bad}, {&t_ok, &t_bad}};
+  for (const auto& [a, b] : operands) {
+    try {
+      (void)tile_spgemm_semiring<MinPlus<double>>(strict, *a, *b);
+      ADD_FAILURE() << "a NaN operand must be refused";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), StatusCode::kInvalidArgument) << e.status().to_string();
+    }
+  }
+  // Clean operands still multiply on the same context.
+  EXPECT_GT(tile_spgemm_semiring<MinPlus<double>>(strict, t_ok, t_ok).nnz(), 0);
 }
 
 TEST(Semiring, SpmvMinPlusRelaxation) {

@@ -177,6 +177,39 @@ TEST(Admission, AliasedOperandMatchesExplicitSquare) {
   EXPECT_EQ(copied.bytes, aliased.bytes + b.bytes());
 }
 
+TEST(Admission, EstimateBoundsTheMeasuredPeakOfTheRun) {
+  // Soundness of admission: the estimate must bound what the run it admits
+  // really holds, the tracked peak of try_run_csr on a fresh context whose
+  // budget is roomy enough that it never chunks.
+  BudgetOverrideGuard guard;
+  const auto check = [](const Csr<double>& a, const Csr<double>& b, const std::string& what) {
+    const std::size_t estimate = service::estimate_footprint(a, b).bytes;
+    const PeakMemoryScope peak;
+    SpgemmContext ctx(SpgemmContext::Config{}.with_device_mem_mb(4096));
+    TileSpgemmTimings timings;
+    Expected<Csr<double>> c = ctx.try_run_csr(a, b, &timings);
+    ASSERT_TRUE(c.ok()) << what << ": " << c.status().to_string();
+    ASSERT_EQ(timings.chunks, 1) << what;
+    EXPECT_GE(estimate, static_cast<std::size_t>(peak.peak_bytes())) << what;
+  };
+  const test::GenCase squares[] = {
+      {"er_small", test::make_er_small},         {"er_dense", test::make_er_dense},
+      {"rmat_small", test::make_rmat_small},     {"stencil", test::make_stencil},
+      {"stencil9", test::make_stencil9},         {"band", test::make_band},
+      {"band_wide", test::make_band_wide},       {"blocks", test::make_blocks},
+      {"blocks_large", test::make_blocks_large}, {"clustered", test::make_clustered},
+      {"hyper_sparse", test::make_hyper_sparse}, {"col_diag", test::make_col_diag},
+  };
+  for (const test::GenCase& gc : squares) {
+    const Csr<double> a = gc.make();
+    check(a, a, gc.name);  // C = A*A: aliased, as the service submits it
+  }
+  const Csr<double> rmat = gen::rmat(11, 8.0, 12);
+  check(rmat, rmat, "rmat11");
+  check(test::make_er_rect(), test::make_er_rect_rhs(), "er_rect * er_rect_rhs");
+  check(test::make_empty_product_lhs(), test::make_empty_product_rhs(), "empty product");
+}
+
 // --- Service: the happy path ---------------------------------------------
 
 TEST(Service, ResultsBitIdenticalToDirectRun) {

@@ -1,9 +1,9 @@
 // Selection and bit-identity contracts for the runtime SIMD dispatch family
 // (core/simd_dispatch.h): TSG_SIMD-style level parsing, CPUID clamping, the
 // per-primitive A/B of every available level against the scalar oracle, and
-// whole-pipeline memcmp identity when a level (or a fusion bin cap) is
-// forced through the context Config. "Bit-identical" is the family's core
-// promise — the vector kernels reorder reads, never accumulation.
+// whole-pipeline memcmp identity when a level is forced through the context
+// Config. "Bit-identical" is the family's core promise — the vector kernels
+// reorder reads, never accumulation.
 #include <gtest/gtest.h>
 
 #include <sys/mman.h>
@@ -497,36 +497,6 @@ TEST(ForcedLevelAb, RectangularAndEmptyProductsMatchThroughCsr) {
   EXPECT_EQ(empty.row_ptr, tracked_vector<offset_t>(21, 0));
 }
 
-// ------------------------------------------------------- fusion bin sweep --
-
-class FusedBinAb : public ::testing::TestWithParam<int> {};
-
-TEST_P(FusedBinAb, EveryBinCapMatchesUnfusedBitExact) {
-  const Csr<double> a = fuzz_matrix(static_cast<std::uint64_t>(GetParam()) + 8000);
-  const TileMatrix<double> t = csr_to_tile(a);
-  SpgemmContext unfused(SpgemmContext::Config{}.with_pair_cache(false));
-  const TileMatrix<double> gold = unfused.run(t, t).c;
-  offset_t prev_fused = 0;
-  // -1 fuses nothing, kCostBins - 1 fuses every scheduled tile; the fused
-  // tile count must grow monotonically with the cap while the result stays
-  // byte-for-byte unchanged.
-  for (const int cap : {-1, 0, 1, kCostBins - 1}) {
-    SpgemmContext fused(SpgemmContext::Config{}.with_fused_path(true).with_fuse_max_bin(cap));
-    const TileSpgemmResult<double> got = fused.run(t, t);
-    const std::string what = "cap " + std::to_string(cap) + " seed " + std::to_string(GetParam());
-    expect_tiles_identical(gold, got.c, what);
-    expect_csr_run_matches(fused, a, a, got.c, what);
-    if (cap == -1) {
-      EXPECT_EQ(got.timings.fused_tiles, 0) << "cap -1 must fuse nothing";
-    } else {
-      EXPECT_GE(got.timings.fused_tiles, prev_fused) << "cap " << cap;
-    }
-    prev_fused = got.timings.fused_tiles;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Fuzz, FusedBinAb, ::testing::Range(0, 12));
-
 // ------------------------------------------------------------ observability --
 
 TEST(SimdObservability, TimingsReportTheResolvedLevel) {
@@ -541,17 +511,6 @@ TEST(SimdObservability, TimingsReportTheResolvedLevel) {
   SpgemmContext top(SpgemmContext::Config{}.with_simd_level(simd::Level::kAvx512));
   EXPECT_EQ(top.run(t, t).timings.simd_level,
             static_cast<int>(simd::clamp_to_available(simd::Level::kAvx512)));
-}
-
-TEST(SimdObservability, ScalarSymbolicKernelPinsScalarLevel) {
-  // The pre-SIMD scalar reference path (SymbolicKernel::kScalar) stays the
-  // oracle: it must resolve to the scalar table no matter the simd option.
-  TileSpgemmOptions options;
-  options.symbolic = SymbolicKernel::kScalar;
-  options.simd = simd::Level::kAvx512;
-  const TileMatrix<double> t = csr_to_tile(gen::dense_blocks(4, 16, 12));
-  SpgemmContext ctx(SpgemmContext::Config{}.with_options(options));
-  EXPECT_EQ(ctx.run(t, t).timings.simd_level, static_cast<int>(simd::Level::kScalar));
 }
 
 }  // namespace

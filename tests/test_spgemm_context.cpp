@@ -1,5 +1,5 @@
-// SpgemmContext: workspace pooling, cost-binned scheduling, the fused
-// step2+step3 path, and the Config builder / environment plumbing.
+// SpgemmContext: workspace pooling, cost-binned scheduling, and the Config
+// builder / environment plumbing.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -79,7 +79,7 @@ TEST(SpgemmContext, RepeatedRunsThroughOneContextAreStable) {
 TEST(SpgemmContext, WorkspaceHighWaterStopsGrowing) {
   // With a fixed thread count the pooled footprint is deterministic: it
   // fills on the first call and must not grow on any later identical call.
-  SpgemmContext ctx(SpgemmContext::Config{}.with_threads(1).with_pair_cache(true));
+  SpgemmContext ctx(SpgemmContext::Config{}.with_threads(1));
   const Csr<double> a = gen::rmat(10, 5.0, 78);
   const TileMatrix<double> ta = csr_to_tile(a);
   (void)ctx.run(ta, ta);
@@ -92,39 +92,6 @@ TEST(SpgemmContext, WorkspaceHighWaterStopsGrowing) {
   }
   ctx.release_workspaces();
   EXPECT_EQ(ctx.workspace_bytes(), 0u);
-}
-
-TEST(SpgemmContext, FusedPathMatchesStagedPath) {
-  // The fused step2+step3 path accumulates light tiles during the symbolic
-  // visit; it must be bit-identical to the staged path because the
-  // per-output-element accumulation order is the same pair order.
-  for (const auto& c : cases()) {
-    const Csr<double> a = c.make();
-    const Csr<double> b = rhs_for(a);
-    SpgemmContext staged(SpgemmContext::Config{}.with_pair_cache(true));
-    SpgemmContext fused(SpgemmContext::Config{}.with_fused_path(true));
-    expect_bit_identical(staged.run_csr(a, b), fused.run_csr(a, b), c.name);
-  }
-}
-
-TEST(SpgemmContext, FusedPathCountsFusedTiles) {
-  const Csr<double> a = test::make_band();
-  SpgemmContext fused(SpgemmContext::Config{}.with_fused_path(true));
-  const TileMatrix<double> ta = csr_to_tile(a);
-  const TileSpgemmResult<double> res = fused.run(ta, ta);
-  EXPECT_GT(res.timings.fused_tiles, 0);
-  SpgemmContext plain;
-  EXPECT_EQ(plain.run(ta, ta).timings.fused_tiles, 0);
-}
-
-TEST(SpgemmContext, CostBinningIsPureScheduling) {
-  for (const auto& c : cases()) {
-    const Csr<double> a = c.make();
-    const Csr<double> b = rhs_for(a);
-    SpgemmContext binned(SpgemmContext::Config{}.with_cost_binning(true));
-    SpgemmContext linear(SpgemmContext::Config{}.with_cost_binning(false));
-    expect_bit_identical(binned.run_csr(a, b), linear.run_csr(a, b), c.name);
-  }
 }
 
 TEST(SpgemmContext, BinCountersCoverAllTiles) {
@@ -194,14 +161,17 @@ TEST(SpgemmContext, ConvertMsIsAttributed) {
 TEST(SpgemmContext, ConfigBuilderComposes) {
   const SpgemmContext::Config cfg = SpgemmContext::Config{}
                                         .with_threads(2)
-                                        .with_cost_binning(false)
-                                        .with_fused_path(true)
-                                        .with_fuse_threshold(32);
-  EXPECT_TRUE(cfg.options.cache_pairs);  // implied by the fused path
+                                        .with_simd_level(simd::Level::kSwar)
+                                        .with_device_mem_mb(64)
+                                        .with_degradation(false)
+                                        .with_validation(ValidationLevel::kFull)
+                                        .with_nan_policy(NanPolicy::kReject);
   EXPECT_EQ(cfg.threads, 2);
-  EXPECT_FALSE(cfg.cost_binning);
-  EXPECT_TRUE(cfg.fuse_light_tiles);
-  EXPECT_EQ(cfg.fuse_threshold, 32);
+  EXPECT_EQ(cfg.options.simd, simd::Level::kSwar);
+  EXPECT_EQ(cfg.device_mem_mb, 64u);
+  EXPECT_FALSE(cfg.degrade_on_budget);
+  EXPECT_EQ(cfg.validation, ValidationLevel::kFull);
+  EXPECT_EQ(cfg.nan_policy, NanPolicy::kReject);
 }
 
 TEST(SpgemmContext, ConfigFromEnv) {

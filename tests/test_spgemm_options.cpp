@@ -40,8 +40,8 @@ std::vector<OptionsCase> option_grid() {
   std::vector<OptionsCase> grid;
   grid.push_back({"defaults", {}});
   TileSpgemmOptions o;
-  o.cache_pairs = true;
-  grid.push_back({"cache_pairs", o});
+  o.simd = simd::Level::kScalar;
+  grid.push_back({"scalar", o});
   return grid;
 }
 
