@@ -1,8 +1,9 @@
 // Kernel-level timing of step 3's per-tile accumulate over a real product's
 // C tiles, shared by bench_ablation_design and bench_micro_kernels. The
-// matched pairs of every non-empty C tile of A*A are gathered once, outside
-// the timed pass, so a pass times only the accumulate: the rank-indexed
-// scatter, the scalar dense walk, or the dispatched row kernel.
+// live matched pairs of every C tile of A*A are gathered once, outside the
+// timed pass, through the pipeline's own ThreadSlot::match, so a pass times
+// only the accumulate: the rank-indexed scatter, the scalar dense walk, or
+// the dispatched row kernel.
 #pragma once
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include "common/timer.h"
 #include "core/intersect.h"
 #include "core/simd_dispatch.h"
+#include "core/spgemm_workspace.h"
 #include "core/tile_convert.h"
 #include "core/tile_kernels.h"
 #include "core/tile_spgemm.h"
@@ -21,31 +23,29 @@ namespace tsg::bench {
 struct AccumulateFixture {
   TileMatrix<double> a;           ///< the operand; the product is a * a
   TileMatrix<double> c;           ///< the product: masks, row pointers, offsets
-  std::vector<offset_t> tiles;    ///< C's non-empty tiles, in storage order
+  std::vector<offset_t> tiles;    ///< C's tiles, in storage order
   std::vector<std::size_t> first; ///< tiles[i]'s pairs: [first[i], first[i + 1])
   std::vector<MatchedPair> pairs;
 
   explicit AccumulateFixture(const Csr<double>& m) : a(csr_to_tile(m)), c(tile_spgemm(a, a).c) {
-    const TileLayoutCsc b_csc = tile_layout_csc(a);
+    SpgemmWorkspace<double> ws;
+    ws.ensure_threads(1);
+    tile_layout_csc(a, ws.b_csc);
+    derive_tile_occupancy(a, a, ws);
+    ws.reset_row_index(a.tile_cols);
     first.push_back(0);
     index_t tile_row = 0;
     for (offset_t t = 0; t < c.num_tiles(); ++t) {
       while (c.tile_ptr[tile_row + 1] <= t) ++tile_row;
-      if (c.tile_nnz_of(t) == 0) continue;
-      const index_t tj = c.tile_col_idx[static_cast<std::size_t>(t)];
-      const offset_t a_base = a.tile_ptr[tile_row];
-      const offset_t b_base = b_csc.col_ptr[tj];
-      intersect_tiles(a.tile_col_idx.data() + a_base, a_base,
-                      static_cast<index_t>(a.tile_ptr[tile_row + 1] - a_base),
-                      b_csc.row_idx.data() + b_base, b_csc.tile_id.data() + b_base,
-                      static_cast<index_t>(b_csc.col_ptr[tj + 1] - b_base),
-                      IntersectMethod::kBinarySearch, pairs);
+      const std::vector<MatchedPair>& live = ws.slot(0).match(
+          a, ws.b_csc, ws.occ, tile_row, c.tile_col_idx[static_cast<std::size_t>(t)]);
+      pairs.insert(pairs.end(), live.begin(), live.end());
       tiles.push_back(t);
       first.push_back(pairs.size());
     }
   }
 
-  /// One serial pass over every non-empty tile: the rank-indexed scatter
+  /// One serial pass over every tile: the rank-indexed scatter
   /// for tiles of at most `cut` nonzeros, accumulate_pairs_dense through
   /// `nops` above it (cut 0: dense everywhere; kTileNnzMax: scatter
   /// everywhere). Values land in `out` (resized to C's nnz) so passes can

@@ -98,15 +98,18 @@ void BM_IntersectMerge(benchmark::State& s) { BM_IntersectReference(s, Intersect
 
 /// The pipeline's routine with A's row already bound: the steady state of a
 /// tile-row-ordered visit, where one bind serves every B column of the row
-/// (the 4x1024 shape takes its binary-search branch).
+/// (the 4x1024 shape takes its binary-search branch). Every occupancy word
+/// is full, so it keeps the reference routines' pairs.
 void BM_IntersectIndexed(benchmark::State& state) {
   const IntersectFixture fx = intersect_fixture(state);
+  const std::vector<rowmask_t> a_occ(fx.a_cols.size(), 0xFFFF);
+  const std::vector<rowmask_t> b_occ(fx.b_rows.size(), 0xFFFF);
   TileRowIndex index;
   index.reset(std::max(fx.a_cols.back(), fx.b_rows.back()) + 1);
   time_intersect(state, fx, [&](std::vector<MatchedPair>& out) {
-    index.intersect(0, fx.a_cols.data(), 0, static_cast<index_t>(fx.a_cols.size()),
-                    fx.b_rows.data(), fx.b_ids.data(), static_cast<index_t>(fx.b_rows.size()),
-                    out);
+    index.intersect(0, fx.a_cols.data(), a_occ.data(), 0,
+                    static_cast<index_t>(fx.a_cols.size()), fx.b_rows.data(), b_occ.data(),
+                    fx.b_ids.data(), static_cast<index_t>(fx.b_rows.size()), out);
   });
 }
 

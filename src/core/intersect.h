@@ -10,7 +10,8 @@
 // The pipeline intersects through TileRowIndex instead: a per-thread index
 // of one A tile row that turns each probe of B's column into one load. On a
 // CPU the binary search's data-dependent probes stall the core, and every
-// C tile of a tile row re-searches the same A row.
+// C tile of a tile row re-searches the same A row. It also drops the dead
+// pairs, whose 16-bit occupancy words share no bit (see TileOccupancy).
 #pragma once
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bitops.h"
 #include "common/config.h"
 
 namespace tsg {
@@ -136,27 +138,45 @@ class TileRowIndex {
     row_ = kUnbound;
   }
 
-  /// Append to `out` the matched pairs of A's tile row `row` (a_cols[0,
-  /// len_a), the s-th entry being tile a_base+s) and a tile column of B
-  /// (b_rows[0, len_b) with tile ids b_ids). The pairs and their order
-  /// (ascending k) are exactly those of intersect_tiles, so every product
-  /// accumulates in the same order whichever branch runs.
-  void intersect(index_t row, const index_t* a_cols, offset_t a_base, index_t len_a,
-                 const index_t* b_rows, const offset_t* b_ids, index_t len_b,
-                 std::vector<MatchedPair>& out) {
+  /// Append to `out` the live matched pairs of A's tile row `row`
+  /// (a_cols[0, len_a), the s-th entry being tile a_base+s with column
+  /// occupancy a_occ[s]) and a tile column of B (b_rows[0, len_b) with
+  /// tile ids b_ids and row occupancies b_occ): the pairs of
+  /// intersect_tiles less those whose two words share no bit. The order
+  /// stays ascending k, so every product accumulates in the same order
+  /// whichever branch runs.
+  void intersect(index_t row, const index_t* a_cols, const rowmask_t* a_occ, offset_t a_base,
+                 index_t len_a, const index_t* b_rows, const rowmask_t* b_occ,
+                 const offset_t* b_ids, index_t len_b, std::vector<MatchedPair>& out) {
     if (len_a == 0 || len_b == 0) return;
     if (intersect_by_search(len_a, len_b)) {
-      intersect_tiles(a_cols, a_base, len_a, b_rows, b_ids, len_b,
-                      IntersectMethod::kBinarySearch, out);
+      // intersect_tiles' search of the shorter list, A's, into B's.
+      index_t left = 0;
+      for (index_t s = 0; s < len_a && left < len_b; ++s) {
+        const index_t pos = detail::lower_bound_idx(b_rows, left, len_b, a_cols[s]);
+        left = pos;
+        if (pos == len_b || b_rows[pos] != a_cols[s]) continue;
+        if ((a_occ[s] & b_occ[pos]) != 0) out.push_back({a_base + s, b_ids[pos]});
+        left = pos + 1;
+      }
       return;
     }
-    if (row != row_) bind(row, a_cols, len_a);
+    if (row != row_) bind(row, a_cols, a_occ, len_a);
     // B keys above A's last key cannot match; the rest are one load each.
+    // Whether a key yields a live pair is data-dependent and mispredicts as
+    // a branch, so every probe writes its pair and only a live one
+    // advances the end.
     const index_t last = a_cols[len_a - 1];
+    std::size_t n = out.size();
+    out.resize(n + static_cast<std::size_t>(len_b));
+    MatchedPair* dst = out.data();
     for (index_t s = 0; s < len_b && b_rows[s] <= last; ++s) {
       const Entry e = entries_[static_cast<std::size_t>(b_rows[s])];
-      if (e.stamp == stamp_) out.push_back({a_base + e.pos, b_ids[s]});
+      const bool live = (e.stamp == stamp_) & ((e.occ & b_occ[s]) != 0);
+      dst[n] = {a_base + e.pos, b_ids[s]};
+      n += live ? 1 : 0;
     }
+    out.resize(n);
   }
 
   std::size_t bytes() const { return entries_.capacity() * sizeof(Entry); }
@@ -165,16 +185,17 @@ class TileRowIndex {
   struct Entry {
     std::uint32_t stamp = 0;
     index_t pos = 0;
+    rowmask_t occ = 0;  ///< the tile's column occupancy
   };
   static constexpr index_t kUnbound = -1;
 
-  void bind(index_t row, const index_t* a_cols, index_t len_a) {
+  void bind(index_t row, const index_t* a_cols, const rowmask_t* a_occ, index_t len_a) {
     if (++stamp_ == 0) {  // wrapped: lapse every entry for real, once
       std::fill(entries_.begin(), entries_.end(), Entry{});
       stamp_ = 1;
     }
     for (index_t s = 0; s < len_a; ++s) {
-      entries_[static_cast<std::size_t>(a_cols[s])] = {stamp_, s};
+      entries_[static_cast<std::size_t>(a_cols[s])] = {stamp_, s, a_occ[s]};
     }
     row_ = row;
   }

@@ -104,6 +104,9 @@ TileMatrix<T> SpgemmContext::run_masked_impl(const TileMatrix<T>& a, const TileM
   check_cancelled();
   tile_layout_csc(b, ws.b_csc);
   const TileLayoutCsc& b_csc = ws.b_csc;
+  // The occupancy words, so both passes below match live pairs only.
+  derive_tile_occupancy(a, b, ws);
+  check_cancelled();
 
   // Step 1 (masked): candidate output tiles are exactly M's tiles — the
   // symbolic product can only shrink them, never add outside the mask.
@@ -138,7 +141,7 @@ TileMatrix<T> SpgemmContext::run_masked_impl(const TileMatrix<T>& a, const TileM
     const index_t tile_i = tile_row_idx[static_cast<std::size_t>(t)];
     const index_t tile_j = c.tile_col_idx[static_cast<std::size_t>(t)];
     const std::vector<MatchedPair>& pairs =
-        ws.slot(worker_rank()).match(a, b_csc, tile_i, tile_j);
+        ws.slot(worker_rank()).match(a, b_csc, ws.occ, tile_i, tile_j);
 
     rowmask_t mask_c[kTileDim] = {};
     for (const MatchedPair& p : pairs) {
@@ -198,7 +201,7 @@ TileMatrix<T> SpgemmContext::run_masked_impl(const TileMatrix<T>& a, const TileM
     if (nnz_c == 0) return;
 
     const std::vector<MatchedPair>& pairs =
-        ws.slot(worker_rank()).match(a, b_csc, tile_i, tile_j);
+        ws.slot(worker_rank()).match(a, b_csc, ws.occ, tile_i, tile_j);
     T slots[kTileNnzMax];
     for (index_t k = 0; k < nnz_c; ++k) slots[k] = T{};
     accumulate_sparse_masked(a, b, pairs, mask_c, row_ptr_c, slots);

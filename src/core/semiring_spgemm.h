@@ -110,10 +110,9 @@ TileMatrix<T> tile_spgemm_semiring(SpgemmContext& ctx, const TileMatrix<T>& a,
     const std::uint8_t* row_ptr_c = c.row_ptr.data() + base;
 
     nops.materialize(mask_c, c.row_idx.data() + nz_base, c.col_idx.data() + nz_base);
-    if (nnz_c == 0) return;
 
     const std::vector<MatchedPair>& pairs =
-        ws.slot(worker_rank()).match(a, b_csc, tile_i, tile_j);
+        ws.slot(worker_rank()).match(a, b_csc, ws.occ, tile_i, tile_j);
     T slots[kTileNnzMax];
     for (index_t k = 0; k < nnz_c; ++k) slots[k] = Semiring::identity();
     for (const MatchedPair& p : pairs) {

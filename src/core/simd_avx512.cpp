@@ -97,45 +97,58 @@ void materialize_avx512(const rowmask_t* mask_c, std::uint8_t* row_idx,
 // B-row multiply-add: an expand-load places B's packed row values in the
 // lanes of its mask (reading exactly popcount values), the product is
 // rounded by its own vmulpd/vmulps, and the mask-gated add leaves every
-// other lane's bits alone. A double row is two 8-lane halves; a half whose
-// mask byte is empty is skipped without touching its lanes.
+// other lane's bits alone. A double row is two 8-lane halves. No branch
+// tests for an empty row or half: its all-zero k-mask makes the expand-load
+// read nothing (and fault on nothing, even past the end of B's values) and
+// the masked add keep every lane, while such a branch is data-dependent and
+// mispredicts on hyper-sparse tiles. A's nonzeros come in row order, so
+// each run of one row accumulates in registers, loaded once and stored
+// once: every lane still takes its products one at a time in the walk's
+// order, and a row whose products all miss is written back bit for bit.
 void accumulate_avx512_d(const std::uint8_t* a_row, const std::uint8_t* a_col,
                          const double* a_val, index_t a_nnz, const std::uint8_t* b_row_ptr,
                          const rowmask_t* b_mask, const double* b_val, double* acc) {
-  for (index_t k = 0; k < a_nnz; ++k) {
-    const unsigned m = b_mask[a_col[k]];
-    if (m == 0) continue;
-    const double* bv = b_val + b_row_ptr[a_col[k]];
-    double* row = acc + static_cast<std::size_t>(a_row[k]) * kTileDim;
-    const __m512d va = _mm512_set1_pd(a_val[k]);
-    const auto lo = static_cast<__mmask8>(m & 0xFFu);
-    const auto hi = static_cast<__mmask8>(m >> 8);
-    if (lo != 0) {
-      const __m512d prod = _mm512_mul_pd(va, _mm512_maskz_expandloadu_pd(lo, bv));
-      const __m512d r = _mm512_loadu_pd(row);
-      _mm512_storeu_pd(row, _mm512_mask_add_pd(r, lo, r, prod));
-    }
-    if (hi != 0) {
+  index_t k = 0;
+  while (k < a_nnz) {
+    const std::uint8_t r = a_row[k];
+    double* row = acc + static_cast<std::size_t>(r) * kTileDim;
+    __m512d lo_sum = _mm512_loadu_pd(row);
+    __m512d hi_sum = _mm512_loadu_pd(row + 8);
+    do {
+      const unsigned m = b_mask[a_col[k]];
+      const double* bv = b_val + b_row_ptr[a_col[k]];
+      const __m512d va = _mm512_set1_pd(a_val[k]);
+      const auto lo = static_cast<__mmask8>(m & 0xFFu);
+      const auto hi = static_cast<__mmask8>(m >> 8);
       const double* bv_hi = bv + std::popcount(static_cast<unsigned>(lo));
-      const __m512d prod = _mm512_mul_pd(va, _mm512_maskz_expandloadu_pd(hi, bv_hi));
-      const __m512d r = _mm512_loadu_pd(row + 8);
-      _mm512_storeu_pd(row + 8, _mm512_mask_add_pd(r, hi, r, prod));
-    }
+      lo_sum = _mm512_mask_add_pd(lo_sum, lo, lo_sum,
+                                  _mm512_mul_pd(va, _mm512_maskz_expandloadu_pd(lo, bv)));
+      hi_sum = _mm512_mask_add_pd(hi_sum, hi, hi_sum,
+                                  _mm512_mul_pd(va, _mm512_maskz_expandloadu_pd(hi, bv_hi)));
+      ++k;
+    } while (k < a_nnz && a_row[k] == r);
+    _mm512_storeu_pd(row, lo_sum);
+    _mm512_storeu_pd(row + 8, hi_sum);
   }
 }
 
 void accumulate_avx512_f(const std::uint8_t* a_row, const std::uint8_t* a_col,
                          const float* a_val, index_t a_nnz, const std::uint8_t* b_row_ptr,
                          const rowmask_t* b_mask, const float* b_val, float* acc) {
-  for (index_t k = 0; k < a_nnz; ++k) {
-    const auto m = static_cast<__mmask16>(b_mask[a_col[k]]);
-    if (m == 0) continue;
-    float* row = acc + static_cast<std::size_t>(a_row[k]) * kTileDim;
-    const __m512 prod =
-        _mm512_mul_ps(_mm512_set1_ps(a_val[k]),
-                      _mm512_maskz_expandloadu_ps(m, b_val + b_row_ptr[a_col[k]]));
-    const __m512 r = _mm512_loadu_ps(row);
-    _mm512_storeu_ps(row, _mm512_mask_add_ps(r, m, r, prod));
+  index_t k = 0;
+  while (k < a_nnz) {
+    const std::uint8_t r = a_row[k];
+    float* row = acc + static_cast<std::size_t>(r) * kTileDim;
+    __m512 sum = _mm512_loadu_ps(row);
+    do {
+      const auto m = static_cast<__mmask16>(b_mask[a_col[k]]);
+      const __m512 prod =
+          _mm512_mul_ps(_mm512_set1_ps(a_val[k]),
+                        _mm512_maskz_expandloadu_ps(m, b_val + b_row_ptr[a_col[k]]));
+      sum = _mm512_mask_add_ps(sum, m, sum, prod);
+      ++k;
+    } while (k < a_nnz && a_row[k] == r);
+    _mm512_storeu_ps(row, sum);
   }
 }
 

@@ -83,9 +83,11 @@ struct SymbolicOps {
 /// popcount(b_mask[c]) values at b_val + b_row_ptr[c] in column order, and
 /// only the lanes set in b_mask[c] change: each gets acc + a*b with the
 /// product rounded before the add, so every level matches the scalar walk
-/// bit for bit. Lanes outside the mask keep their bits; rows no product
-/// reaches are neither read nor written (callers zero only C's occupied
-/// rows). B's values are never read past the row's last value.
+/// bit for bit. Lanes outside the mask keep their bits. A level may read
+/// and write back, bit-unchanged, every row some a_row[k] names, even when
+/// B's row a_col[k] is empty (the AVX-512 kernel does, branch-free), so
+/// callers initialise each such row; rows no a_row[k] names are neither
+/// read nor written. B's values are never read past the row's last value.
 struct NumericOps {
   void (*compress_d)(const double* acc, const rowmask_t* mask_c, double* out);
   void (*compress_f)(const float* acc, const rowmask_t* mask_c, float* out);

@@ -32,9 +32,12 @@ struct Step2Result {
   offset_t nnz() const { return tile_nnz.empty() ? 0 : tile_nnz.back(); }
 };
 
-/// Symbolic per-tile pass. `b_csc` is the column-major view of B's tile
-/// layout (tileColPtr_B / tileRowidx_B in Algorithm 2). `ws` supplies the
-/// per-thread intersection scratch; `plan` sets the visit order.
+/// Symbolic per-tile pass over step 1's exact structure: every tile has a
+/// live pair, so every tile derives all 16 of its masks and row pointers.
+/// `b_csc` is the column-major view of B's tile layout (tileColPtr_B /
+/// tileRowidx_B in Algorithm 2). `ws` supplies the per-thread intersection
+/// scratch and the occupancy words step 1 derived; `plan` sets the visit
+/// order.
 template <class T>
 Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
                            const TileLayoutCsc& b_csc, const TileStructure& structure,

@@ -40,8 +40,8 @@ void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
       "spgemm.tile_visit_us", {1, 2, 5, 10, 25, 50, 100, 1000});
 
   parallel_for(offset_t{0}, ntiles, [&](offset_t i) {
-    // Guard, not inline observes: the empty-tile path leaves early and must
-    // still land in the duration histogram.
+    // Guard, not inline observes: a visit that leaves early must still
+    // land in the duration histogram.
     struct VisitGuard {
       bool on;
       double start_us;
@@ -73,7 +73,6 @@ void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
     const rowmask_t* mask_c = symbolic.mask.data() + sym_base;
     const std::uint8_t* row_ptr_c = symbolic.row_ptr.data() + sym_base;
 
-    if (nnz_c == 0) return;  // step 1 may keep tiles that turned out empty
     // Tile layout: materialise the local row/column indices from the masks;
     // the mask bit order is the storage order.
     if (tile_out != nullptr) {
@@ -84,7 +83,7 @@ void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
     // Re-gather the matched pairs (the paper's zero-global-memory choice:
     // step 2 kept none) and accumulate the tile's values.
     const std::vector<MatchedPair>& pairs =
-        ws.slot(worker_rank()).match(a, b_csc, tile_i, tile_j);
+        ws.slot(worker_rank()).match(a, b_csc, ws.occ, tile_i, tile_j);
     T slots[kTileNnzMax];
     const detail::AccumulatePath path = detail::accumulate_tile_values(
         a, b, pairs.data(), pairs.size(), mask_c, row_ptr_c, nnz_c, slots, nops);

@@ -32,7 +32,8 @@ struct Step3Output {
 };
 
 /// Numeric pass over the tiles of `structure`, whose symbolic result step 2
-/// left in `symbolic`. `ws` holds the per-thread intersection scratch; see
+/// left in `symbolic`; every tile holds a nonzero. `ws` holds the
+/// per-thread intersection scratch and the occupancy words; see
 /// spgemm_context.cpp for the assembly around it.
 template <class T>
 void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,

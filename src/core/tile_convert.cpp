@@ -197,8 +197,8 @@ void place_csr_rows(const offset_t* tile_ptr, index_t tr_lo, index_t tr_hi, inde
   out.row_tiles[0] = 0;
 
   // Count each tile row's non-empty tiles, then rank them band-wide. Only
-  // non-empty tiles get offsets: on hyper-sparse products most of the
-  // tiles step 1 keeps turn out empty.
+  // non-empty tiles get offsets: step 1 keeps none that is empty, but a
+  // masked product, or any tile matrix tile_to_csr is given, may hold some.
   parallel_for(index_t{0}, band, [&](index_t i) {
     offset_t live = 0;
     for (offset_t t = tile_ptr[tr_lo + i] - t0; t < tile_ptr[tr_lo + i + 1] - t0; ++t) {

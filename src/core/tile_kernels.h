@@ -48,24 +48,20 @@ inline void accumulate_pairs_sparse(const TileMatrix<T>& a, const TileMatrix<T>&
 }
 
 /// Accumulate into a dense 16x16 scratch tile, then compress through the
-/// mask (Algorithm 3 lines 13-17). Only C's occupied rows are zeroed: a
-/// product can land only in a row whose mask is non-zero, the dispatched
-/// kernel touches no other row, and the compress reads none. One
-/// dispatched call per matched pair does the multiply-adds, each lane in
-/// the scalar walk's (pair, A-nonzero) order, so every simd::Level is
-/// bit-identical. `slots` must have capacity kTileNnzMax (vector compress
-/// may store past the final count).
+/// mask (Algorithm 3 lines 13-17). All 16 rows are zeroed: the dispatched
+/// kernel may read and write back any row an A nonzero names, even one no
+/// product reaches, and a fixed-size clear costs less than finding those
+/// rows (docs/PERFORMANCE.md). One dispatched call per matched pair does
+/// the multiply-adds, each lane in the scalar walk's (pair, A-nonzero)
+/// order, so every simd::Level is bit-identical. `slots` must have
+/// capacity kTileNnzMax (vector compress may store past the final count).
 template <class T>
 inline void accumulate_pairs_dense(const TileMatrix<T>& a, const TileMatrix<T>& b,
                                    const MatchedPair* pairs, std::size_t pair_count,
                                    const rowmask_t* mask_c, T* slots,
                                    const simd::NumericOps& nops) {
   alignas(64) T acc[kTileNnzMax];
-  for (index_t r = 0; r < kTileDim; ++r) {
-    if (mask_c[r] == 0) continue;
-    T* row = acc + static_cast<std::size_t>(r) * kTileDim;
-    for (index_t c = 0; c < kTileDim; ++c) row[c] = T{};
-  }
+  for (T& v : acc) v = T{};
   for (std::size_t pi = 0; pi < pair_count; ++pi) {
     const MatchedPair& p = pairs[pi];
     const auto a_nz = static_cast<std::size_t>(a.tile_nnz[p.tile_a]);

@@ -96,7 +96,7 @@ namespace tsg::service {
 /// matrix into the queue; `b == nullptr` means C = A*A.
 struct SpgemmRequest {
   std::shared_ptr<const Csr<double>> a;
-  std::shared_ptr<const Csr<double>> b;  ///< null: C = A * A
+  std::shared_ptr<const Csr<double>> b = nullptr;  ///< null: C = A * A
   /// Permit chunked-degradation admission for this request when its
   /// estimate exceeds the service budget; false demands a single-shot run
   /// (over-budget then means Rejected at submit).

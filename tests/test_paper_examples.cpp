@@ -128,20 +128,21 @@ TEST(PaperExamples, Fig1NnzRelationship) {
   test::expect_equal(c_ref, c_tile, "fig1");
 }
 
-// Section 3.3: "the final C is allowed to store empty tiles" — build a case
-// where step 1 predicts a tile that receives no nonzero because the
-// contributing rows/columns of the operand tiles miss each other.
-TEST(PaperExamples, EmptyTilesAreAllowedInC) {
+// Section 3.3: "the final C is allowed to store empty tiles". This library
+// departs from that (DESIGN.md): step 1 tests each tile pair's 16-bit
+// occupancy words, so a tile whose contributing rows/columns of the operand
+// tiles miss each other is never kept.
+TEST(PaperExamples, Step1KeepsNoTileWhoseOperandTilesMiss) {
   // A tile (0,0) has a nonzero only in column 5; B tile (0,0) has rows only
-  // at row 9 — the product tile (0,0) of C is structurally empty, but the
-  // tile-level symbolic (step 1) must still predict it.
+  // at row 9 — the product tile (0,0) of C is structurally empty, and the
+  // tile-level symbolic (step 1) must not keep it.
   std::vector<Entry> ea = {{0, 0, 3, 5, 1.0}};
   std::vector<Entry> eb = {{0, 0, 9, 2, 1.0}};
   const TileMatrix<double> a = csr_to_tile(from_entries(1, ea));
   const TileMatrix<double> b = csr_to_tile(from_entries(1, eb));
+  EXPECT_EQ(step1_tile_structure(a, b).num_tiles(), 0);
   const TileSpgemmResult<double> res = tile_spgemm(a, b);
-  ASSERT_EQ(res.c.num_tiles(), 1);    // step 1 kept the candidate tile
-  EXPECT_EQ(res.c.tile_nnz_of(0), 0); // but it is empty
+  EXPECT_EQ(res.c.num_tiles(), 0);
   EXPECT_EQ(res.c.nnz(), 0);
   EXPECT_TRUE(res.c.validate().empty()) << res.c.validate();
   // Converting back must give an all-empty CSR.

@@ -9,6 +9,7 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -303,6 +304,37 @@ void check_accumulate_level() {
       a_row[0] = 0;
       a_col[0] = kTileDim - 1;
       a_val[0] = special_value<T>(rng);
+    }
+    if (trial == 1) {
+      // Every B row A names is empty: no lane may change, although a level
+      // may still read and write back each row A names.
+      for (index_t k = 0; k < a_nnz; ++k) b_mask[a_col[k]] = 0;
+    }
+    if (trial == 2 || trial == 3) {
+      // Only the low (2) or only the high (3) half of each row A names is
+      // empty: the other 8-lane half of a double row still gets products.
+      const unsigned keep = trial == 2 ? 0xFF00u : 0x00FFu;
+      for (index_t k = 0; k < a_nnz; ++k) {
+        b_mask[a_col[k]] = static_cast<rowmask_t>((rng.next() | 0x0101u) & keep);
+      }
+    }
+    if (trial == 4) {
+      // B's last row is empty and A names it, so that row's values start
+      // where B's end: its expand pointer lands on the guard page.
+      b_mask[kTileDim - 1] = 0;
+      if (a_nnz == 0) {
+        a_nnz = 1;
+        a_row[0] = 0;
+        a_val[0] = special_value<T>(rng);
+      }
+      a_col[0] = kTileDim - 1;
+    }
+    if (trial == 5) {
+      // A's nonzeros out of row order: a level that keeps a row's run in
+      // registers must still see every later visit of the row.
+      std::reverse(a_row, a_row + a_nnz);
+      std::reverse(a_col, a_col + a_nnz);
+      std::reverse(a_val, a_val + a_nnz);
     }
     std::uint8_t b_row_ptr[kTileDim];
     int b_nnz = 0;

@@ -1,8 +1,14 @@
 // Validation of the TileSpGEMM core against the serial reference: structure
 // classes, shapes, edge cases, and the exact output semantics (explicit
-// cancellation zeros are kept; empty tiles from step 1 are tolerated).
+// cancellation zeros are kept; step 1 keeps no empty tile).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "core/masked_spgemm.h"
+#include "core/step1.h"
 #include "core/tile_convert.h"
 #include "core/tile_spgemm.h"
 #include "gen/generators.h"
@@ -132,16 +138,47 @@ TEST(TileSpgemmEdge, DimensionNotMultipleOf16) {
   check_against_reference(b, b, run_tile, "n=15");
   const Csr<double> c = gen::erdos_renyi(255, 255, 2000, 112);
   check_against_reference(c, c, run_tile, "n=255");
-  // Hyper-sparse: most of C's tiles are step-1 candidates that step 2
-  // finds empty, which tile_to_csr skips while placing every row of the
-  // tiles it keeps, the partial last tile row's included.
+  // Hyper-sparse: most tile pairs step 1 meets carry no product, and it
+  // keeps no C tile for them; tile_to_csr places every row of the tiles
+  // it keeps, the partial last tile row's included.
   const Csr<double> d = gen::erdos_renyi(2003, 2003, 3000, 61);
   const TileMatrix<double> td = csr_to_tile(d);
   const TileMatrix<double> tc = tile_spgemm(td, td).c;
   offset_t empty = 0;
   for (offset_t t = 0; t < tc.num_tiles(); ++t) empty += tc.tile_nnz_of(t) == 0 ? 1 : 0;
-  ASSERT_GT(2 * empty, tc.num_tiles()) << empty << " of " << tc.num_tiles() << " empty";
-  check_against_reference(d, d, run_tile, "n=2003, mostly empty C tiles");
+  ASSERT_GT(tc.num_tiles(), 0);
+  EXPECT_EQ(empty, 0) << empty << " of " << tc.num_tiles() << " empty";
+  check_against_reference(d, d, run_tile, "n=2003, hyper-sparse");
+}
+
+TEST(TileSpgemmEdge, TileToCsrSkipsEmptyTilesOfAMaskedProduct) {
+  // A masked product keeps every tile of the mask, so a mask wider than the
+  // product leaves tiles that come out empty; tile_to_csr skips them while
+  // placing the rows of the rest. The mask here is A*A plus a stripe of
+  // tiles A*A misses, so the masked product equals the reference A*A.
+  const Csr<double> a = gen::erdos_renyi(2003, 2003, 3000, 62);
+  const Csr<double> product = spgemm_reference(a, a);
+  Coo<double> wide;
+  wide.rows = wide.cols = a.rows;
+  for (index_t r = 0; r < product.rows; ++r) {
+    for (offset_t p = product.row_ptr[r]; p < product.row_ptr[r + 1]; ++p) {
+      wide.push_back(r, product.col_idx[p], 1.0);
+    }
+  }
+  for (index_t r = 0; r < a.rows; r += 7) {
+    const index_t c = (r * 31 + 5) % a.cols;
+    const auto* row_begin = product.col_idx.data() + product.row_ptr[r];
+    const auto* row_end = product.col_idx.data() + product.row_ptr[r + 1];
+    if (!std::binary_search(row_begin, row_end, c)) wide.push_back(r, c, 1.0);
+  }
+  const Csr<double> mask = coo_to_csr(std::move(wide));
+  const TileMatrix<double> c = tile_spgemm_masked(csr_to_tile(a), csr_to_tile(a),
+                                                  csr_to_tile(mask));
+  offset_t empty = 0;
+  for (offset_t t = 0; t < c.num_tiles(); ++t) empty += c.tile_nnz_of(t) == 0 ? 1 : 0;
+  ASSERT_GT(empty, 0) << "the mask must keep tiles the product misses";
+  ASSERT_TRUE(c.validate().empty()) << c.validate();
+  expect_equal(product, tile_to_csr(c), "masked, with empty tiles");
 }
 
 TEST(TileSpgemmEdge, KeepsCancellationZeros) {
@@ -183,24 +220,54 @@ TEST(TileSpgemmEdge, PermutationTimesPermutationIsPermutation) {
 
 // ------------------------------------------------- step-level invariants --
 
-TEST(TileSpgemmSteps, Step1CoversStep2Tiles) {
-  // Step 1's tile structure is an upper bound: every tile with nonzeros in
-  // the final C must be present, and extra tiles must come out empty.
-  const Csr<double> a = gen::rmat(10, 3.0, 113);
-  const TileMatrix<double> ta = csr_to_tile(a);
-  const TileSpgemmResult<double> res = tile_spgemm(ta, ta);
-  const TileMatrix<double>& c = res.c;
-  ASSERT_TRUE(c.validate().empty()) << c.validate();
-
-  offset_t nonempty = 0;
-  for (offset_t t = 0; t < c.num_tiles(); ++t) {
-    if (c.tile_nnz_of(t) > 0) ++nonempty;
+TEST(TileSpgemmSteps, Step1KeepsExactlyTheNonEmptyTiles) {
+  // Step 1's tile structure is exact: its tiles are the non-empty tiles of
+  // the reference product, no more (no empty tile survives) and no fewer.
+  // The pipeline's C then holds the same tiles, each with a nonzero.
+  struct Product {
+    std::string name;
+    Csr<double> a, b;
+  };
+  std::vector<Product> products;
+  for (const test::GenCase& g : std::vector<test::GenCase>{
+           {"er_small", test::make_er_small},     {"er_dense", test::make_er_dense},
+           {"rmat_small", test::make_rmat_small}, {"stencil", test::make_stencil},
+           {"stencil9", test::make_stencil9},     {"band", test::make_band},
+           {"band_wide", test::make_band_wide},   {"blocks", test::make_blocks},
+           {"blocks_large", test::make_blocks_large},
+           {"clustered", test::make_clustered},   {"hyper_sparse", test::make_hyper_sparse},
+           {"col_diag", test::make_col_diag}}) {
+    const Csr<double> a = g.make();
+    products.push_back({g.name, a, a});
   }
-  EXPECT_GT(nonempty, 0);
-  EXPECT_LE(nonempty, c.num_tiles());
+  products.push_back({"rmat", gen::rmat(10, 3.0, 113), gen::rmat(10, 3.0, 113)});
+  // 6000 nonzeros over 188^2 tile slots: about 1.1 per non-empty tile.
+  const Csr<double> one_per_tile = gen::erdos_renyi(3000, 3000, 6000, 114);
+  products.push_back({"er_1_per_tile", one_per_tile, one_per_tile});
+  const Csr<double> cpd = gen::column_plus_diagonal(2048, 115);
+  products.push_back({"column_plus_diagonal", cpd, cpd});
+  products.push_back({"rect_a_times_b", test::make_er_rect(), test::make_er_rect_rhs()});
+  products.push_back(
+      {"empty_product", test::make_empty_product_lhs(), test::make_empty_product_rhs()});
 
-  // Reconverting must agree with the reference product.
-  expect_equal(spgemm_reference(a, a), tile_to_csr(c), "roundtrip");
+  for (const Product& p : products) {
+    SCOPED_TRACE(p.name);
+    const TileMatrix<double> ta = csr_to_tile(p.a);
+    const TileMatrix<double> tb = csr_to_tile(p.b);
+    const TileStructure st = step1_tile_structure(ta, tb);
+    const TileMatrix<double> ref = csr_to_tile(spgemm_reference(p.a, p.b));
+    ASSERT_EQ(st.tile_ptr.size(), ref.tile_ptr.size());
+    EXPECT_TRUE(std::equal(st.tile_ptr.begin(), st.tile_ptr.end(), ref.tile_ptr.begin()));
+    ASSERT_EQ(st.num_tiles(), ref.num_tiles());
+    EXPECT_TRUE(std::equal(st.tile_col_idx.begin(), st.tile_col_idx.end(),
+                           ref.tile_col_idx.begin()));
+
+    const TileMatrix<double> c = tile_spgemm(ta, tb).c;
+    ASSERT_TRUE(c.validate().empty()) << c.validate();
+    ASSERT_EQ(c.num_tiles(), ref.num_tiles());
+    for (offset_t t = 0; t < c.num_tiles(); ++t) ASSERT_GT(c.tile_nnz_of(t), 0) << "tile " << t;
+    expect_equal(spgemm_reference(p.a, p.b), tile_to_csr(c), "roundtrip");
+  }
 }
 
 TEST(TileSpgemmSteps, TimingsArePopulated) {

@@ -68,14 +68,18 @@ std::vector<MatchedPair> run_intersect(const std::vector<index_t>& a_cols,
 
 /// The pipeline's routine: A's list as tile row `row` of an index sized to
 /// `width` tile columns (default: one past the largest key of either list,
-/// as A.tile_cols bounds both in a product).
+/// as A.tile_cols bounds both in a product). Every occupancy word is full,
+/// so every pair is live and the routine must return the reference pairs.
 std::vector<MatchedPair> run_indexed(TileRowIndex& index, index_t row,
                                      const std::vector<index_t>& a_cols,
                                      const std::vector<index_t>& b_rows) {
   const std::vector<offset_t> b_ids = b_ids_for(b_rows);
+  const std::vector<rowmask_t> a_occ(a_cols.size(), 0xFFFF);
+  const std::vector<rowmask_t> b_occ(b_rows.size(), 0xFFFF);
   std::vector<MatchedPair> out;
-  index.intersect(row, a_cols.data(), 0, static_cast<index_t>(a_cols.size()), b_rows.data(),
-                  b_ids.data(), static_cast<index_t>(b_rows.size()), out);
+  index.intersect(row, a_cols.data(), a_occ.data(), 0, static_cast<index_t>(a_cols.size()),
+                  b_rows.data(), b_occ.data(), b_ids.data(), static_cast<index_t>(b_rows.size()),
+                  out);
   return out;
 }
 
@@ -204,40 +208,126 @@ TEST(Intersect, LongBColumnTakesTheSearchBranch) {
   expect_all_agree({0, 48}, b_past, "search past the boundary");
 }
 
+/// intersect_tiles' pairs of A's tile row ti and B's tile column tj, less
+/// those whose occupancy words share no bit — what ThreadSlot::match must
+/// return, in the same (ascending k) order.
+std::vector<MatchedPair> live_reference(const TileMatrix<double>& a, const TileMatrix<double>& b,
+                                        const TileLayoutCsc& b_csc, index_t ti, index_t tj) {
+  std::vector<MatchedPair> all;
+  const offset_t a_base = a.tile_ptr[ti];
+  const offset_t b_base = b_csc.col_ptr[tj];
+  intersect_tiles(a.tile_col_idx.data() + a_base, a_base,
+                  static_cast<index_t>(a.tile_ptr[ti + 1] - a_base),
+                  b_csc.row_idx.data() + b_base, b_csc.tile_id.data() + b_base,
+                  static_cast<index_t>(b_csc.col_ptr[tj + 1] - b_base),
+                  IntersectMethod::kBinarySearch, all);
+  std::vector<MatchedPair> live;
+  for (const MatchedPair& p : all) {
+    rowmask_t col = 0, row = 0;
+    for (index_t r = 0; r < kTileDim; ++r) {
+      col = static_cast<rowmask_t>(col | a.tile_mask(p.tile_a)[r]);
+      if (b.tile_mask(p.tile_b)[r] != 0) row = static_cast<rowmask_t>(row | bit_of(r));
+    }
+    if ((col & row) != 0) live.push_back(p);
+  }
+  return live;
+}
+
 TEST(Intersect, ThreadSlotRebindsAcrossRowsAndAfterReset) {
   // One thread slot matches tiles of two tile rows (binding, rebinding, and
-  // binding back), then — after the loop reset — tiles of a different A
-  // whose rows carry the same numbers but other tile columns. Each result
-  // must equal the reference intersection of that A's row.
+  // binding back), then — after the loop reset and a fresh occupancy pass —
+  // tiles of a different A whose rows carry the same numbers but other
+  // tile columns. Each result must equal the live reference pairs of that
+  // A's row.
   const TileMatrix<double> a1 = csr_to_tile(gen::erdos_renyi(160, 160, 700, 301));
   const TileMatrix<double> a2 = csr_to_tile(gen::banded(160, 20, 302));
   const TileMatrix<double> b = csr_to_tile(gen::erdos_renyi(160, 160, 700, 303));
-  const TileLayoutCsc b_csc = tile_layout_csc(b);
   SpgemmWorkspace<double> ws;
   ws.ensure_threads(1);
+  tile_layout_csc(b, ws.b_csc);
   SpgemmWorkspace<double>::ThreadSlot& slot = ws.slot(0);
 
   auto expect_match = [&](const TileMatrix<double>& a, index_t ti, index_t tj) {
-    std::vector<MatchedPair> want;
-    const offset_t a_base = a.tile_ptr[ti];
-    const offset_t b_base = b_csc.col_ptr[tj];
-    intersect_tiles(a.tile_col_idx.data() + a_base, a_base,
-                    static_cast<index_t>(a.tile_ptr[ti + 1] - a_base),
-                    b_csc.row_idx.data() + b_base, b_csc.tile_id.data() + b_base,
-                    static_cast<index_t>(b_csc.col_ptr[tj + 1] - b_base),
-                    IntersectMethod::kBinarySearch, want);
-    expect_same_pairs(want, slot.match(a, b_csc, ti, tj),
+    expect_same_pairs(live_reference(a, b, ws.b_csc, ti, tj),
+                      slot.match(a, ws.b_csc, ws.occ, ti, tj),
                       "row " + std::to_string(ti) + " col " + std::to_string(tj));
   };
 
+  derive_tile_occupancy(a1, b, ws);
   ws.reset_row_index(a1.tile_cols);
   for (index_t tj = 0; tj < b.tile_cols; ++tj) expect_match(a1, 2, tj);
   for (index_t tj = 0; tj < b.tile_cols; ++tj) expect_match(a1, 7, tj);
   for (index_t tj = 0; tj < b.tile_cols; ++tj) expect_match(a1, 2, tj);
 
+  derive_tile_occupancy(a2, b, ws);
   ws.reset_row_index(a2.tile_cols);
   for (index_t tj = 0; tj < b.tile_cols; ++tj) expect_match(a2, 2, tj);
   for (index_t tj = 0; tj < b.tile_cols; ++tj) expect_match(a2, 7, tj);
+}
+
+/// A rows x cols matrix of the given (row, col) entries, all 1.
+Csr<double> from_cells(index_t rows, index_t cols,
+                       std::vector<std::pair<index_t, index_t>> cells) {
+  std::sort(cells.begin(), cells.end());
+  Csr<double> m(rows, cols);
+  for (const auto& [r, c] : cells) {
+    m.row_ptr[static_cast<std::size_t>(r) + 1] += 1;
+    m.col_idx.push_back(c);
+    m.val.push_back(1.0);
+  }
+  for (index_t r = 0; r < rows; ++r) {
+    m.row_ptr[static_cast<std::size_t>(r) + 1] += m.row_ptr[static_cast<std::size_t>(r)];
+  }
+  return m;
+}
+
+TEST(Intersect, MatchDropsDeadPairsOnBothSidesOfTheSearchRule) {
+  // A is 32 x (16 * len) with two tile rows, B is (16 * len) x 16: one tile
+  // column whose list holds every tile row k < len. A's tile row 0 has
+  // tiles at k = 0 and k = len - 1, tile row 1 at k = 0, 1 and len - 1.
+  // Local column 3 of A's tiles meets local row 3 of B's at even k (live);
+  // odd k put A's nonzero in column 5 against B's row 9 (dead), so match
+  // must return the reference pairs of even k only, in ascending k. With
+  // len = 48 and 49 the two-tile row walks and binary-searches (the
+  // intersect_by_search boundary), and the three-tile row walks both times.
+  for (const index_t len : {48, 49}) {
+    std::vector<std::pair<index_t, index_t>> a_cells, b_cells;
+    for (index_t k = 0; k < len; ++k) {
+      b_cells.emplace_back(16 * k + (k % 2 == 0 ? 3 : 9), k % kTileDim);
+    }
+    auto a_entry = [&](index_t r, index_t k) {
+      a_cells.emplace_back(r, 16 * k + (k % 2 == 0 ? 3 : 5));
+    };
+    a_entry(1, 0);
+    a_entry(1, len - 1);
+    a_entry(17, 0);
+    a_entry(17, 1);
+    a_entry(17, len - 1);
+    const TileMatrix<double> a = csr_to_tile(from_cells(32, 16 * len, a_cells));
+    const TileMatrix<double> b = csr_to_tile(from_cells(16 * len, 16, b_cells));
+    ASSERT_EQ(intersect_by_search(2, len), len == 49);
+    ASSERT_FALSE(intersect_by_search(3, len));
+
+    SpgemmWorkspace<double> ws;
+    ws.ensure_threads(1);
+    tile_layout_csc(b, ws.b_csc);
+    derive_tile_occupancy(a, b, ws);
+    ws.reset_row_index(a.tile_cols);
+    SpgemmWorkspace<double>::ThreadSlot& slot = ws.slot(0);
+    const std::string context = "len " + std::to_string(len);
+    // Row 0, then row 1 (a rebind), then row 0 again.
+    for (const index_t ti : {0, 1, 0}) {
+      const std::vector<MatchedPair> want = live_reference(a, b, ws.b_csc, ti, 0);
+      const std::vector<MatchedPair>& got = slot.match(a, ws.b_csc, ws.occ, ti, 0);
+      expect_same_pairs(want, got, context + " row " + std::to_string(ti));
+      // k = 0 is live; len - 1 is live iff it is even, and k = 1 is dead.
+      ASSERT_EQ(got.size(), len % 2 == 1 ? 2u : 1u) << context;
+      EXPECT_EQ(got[0].tile_a, a.tile_ptr[ti]) << context;
+      for (std::size_t i = 1; i < got.size(); ++i) {
+        EXPECT_LT(got[i - 1].tile_a, got[i].tile_a) << context << " ascending k";
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -117,8 +117,9 @@ inline Csr<double> make_col_diag() { return gen::column_plus_diagonal(1024, 52);
 /// (75 x 90).
 inline Csr<double> make_er_rect_rhs() { return gen::erdos_renyi(75, 90, 700, 61); }
 
-/// A pair whose product is empty although step 1 keeps a tile for it: A's
-/// only entry sits in column 0, B's only entry in row 1 of the same tile.
+/// A pair whose product is empty although the tile layouts meet: A's only
+/// entry sits in column 0, B's only entry in row 1 of the same tile, so
+/// step 1 keeps no tile.
 inline Csr<double> make_empty_product_lhs() { return single_entry(20, 20, 0, 0); }
 inline Csr<double> make_empty_product_rhs() { return single_entry(20, 20, 1, 0); }
 
