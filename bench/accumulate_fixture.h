@@ -2,8 +2,8 @@
 // C tiles, shared by bench_ablation_design and bench_micro_kernels. The
 // live matched pairs of every C tile of A*A are gathered once, outside the
 // timed pass, through the pipeline's own ThreadSlot::match, so a pass times
-// only the accumulate: the rank-indexed scatter, the scalar dense walk, or
-// the dispatched row kernel.
+// only the accumulate: the rank-indexed walk, the scalar dense walk, or the
+// dispatched row kernel.
 #pragma once
 
 #include <algorithm>
@@ -45,7 +45,7 @@ struct AccumulateFixture {
     }
   }
 
-  /// One serial pass over every tile: the rank-indexed scatter
+  /// One serial pass over every tile: the rank-indexed walk
   /// for tiles of at most `cut` nonzeros, accumulate_pairs_dense through
   /// `nops` above it (cut 0: dense everywhere; kTileNnzMax: scatter
   /// everywhere). Values land in `out` (resized to C's nnz) so passes can
@@ -59,10 +59,9 @@ struct AccumulateFixture {
       const std::size_t n = first[i + 1] - first[i];
       double slots[kTileNnzMax];
       if (nnz <= cut) {
-        std::fill(slots, slots + nnz, 0.0);
-        detail::accumulate_pairs_sparse(a, a, p, n, c.tile_mask(t),
-                                        c.row_ptr.data() + static_cast<std::size_t>(t) * kTileDim,
-                                        slots);
+        detail::accumulate_pairs_walk<PlusTimes<double>, false>(
+            a, a, p, n, c.tile_mask(t), c.row_ptr.data() + static_cast<std::size_t>(t) * kTileDim,
+            nnz, slots);
       } else {
         detail::accumulate_pairs_dense(a, a, p, n, c.tile_mask(t), slots, nops);
       }

@@ -157,35 +157,29 @@ void run_workers(std::ptrdiff_t nchunks, ChunkFn&& chunk_fn) {
 
 /// Dynamically scheduled parallel loop over [begin, end).
 /// `body(i)` is invoked exactly once for every i; iterations are handed to
-/// threads in chunks of `grain` to amortise scheduling cost while keeping
-/// load balance for skewed work (the whole point of tiling).
+/// threads dynamically, 64 at a time under OpenMP, which keeps load
+/// balance for skewed work (the whole point of tiling).
 template <class Index, class Body>
-void parallel_for(Index begin, Index end, Body&& body, std::ptrdiff_t grain = 1) {
+void parallel_for(Index begin, Index end, Body&& body) {
   if (begin >= end) return;
-  if (grain < 1) grain = 1;
   detail::ExceptionTrap trap;
   const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(end - begin);
-  const std::ptrdiff_t nchunks = (n + grain - 1) / grain;
   // Always-on call/task counters; per-thread tallies (for the imbalance
   // histogram) only materialise under the metrics-detail gate.
   obs::ParallelForScope obs_scope(static_cast<std::size_t>(n), max_workers());
 #if TSG_PARALLEL_STD
-  detail::run_workers(nchunks, [&](std::ptrdiff_t chunk) {
+  detail::run_workers(n, [&](std::ptrdiff_t i) {
     trap.run([&] {
-      const std::ptrdiff_t lo = chunk * grain;
-      const std::ptrdiff_t hi = lo + grain < n ? lo + grain : n;
-      obs_scope.count(worker_rank(), static_cast<std::size_t>(hi - lo));
-      for (std::ptrdiff_t i = lo; i < hi; ++i) body(static_cast<Index>(begin + i));
+      obs_scope.count(worker_rank(), 1);
+      body(static_cast<Index>(begin + i));
     });
   });
 #else
 #pragma omp parallel for schedule(dynamic, 64)
-  for (std::ptrdiff_t chunk = 0; chunk < nchunks; ++chunk) {
+  for (std::ptrdiff_t i = 0; i < n; ++i) {
     trap.run([&] {
-      const std::ptrdiff_t lo = chunk * grain;
-      const std::ptrdiff_t hi = lo + grain < n ? lo + grain : n;
-      obs_scope.count(worker_rank(), static_cast<std::size_t>(hi - lo));
-      for (std::ptrdiff_t i = lo; i < hi; ++i) body(static_cast<Index>(begin + i));
+      obs_scope.count(worker_rank(), 1);
+      body(static_cast<Index>(begin + i));
     });
   }
 #endif

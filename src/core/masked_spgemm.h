@@ -2,11 +2,14 @@
 //
 // The GraphBLAS-style masked product is the natural extension of
 // TileSpGEMM for the graph workloads the paper motivates (triangle
-// counting computes (L*L).*L). The mask composes beautifully with the tile
-// design: M's tile layout prunes whole output tiles before any arithmetic,
-// and M's 16-bit row masks AND into the step-2 symbolic masks, so products
-// outside the mask are never accumulated and the dense intermediate
-// (L*L) is never materialised.
+// counting computes (L*L).*L). The mask composes with the tile design as a
+// step-2 filter: M's tile layout takes the place of step 1's, so no output
+// tile outside M exists, and M's 16-bit row masks AND into each tile's
+// step-2 words, so C's masks hold only the product's entries inside M and
+// the dense intermediate (L*L) is never materialised. Step 3 is the plain
+// product's: up to 16 nonzeros per tile the rank-indexed walk skips every
+// product outside the mask, and above that the row kernel multiplies whole
+// B rows and the compress drops the entries outside it (DESIGN.md).
 #pragma once
 
 #include "core/step1.h"
@@ -15,9 +18,10 @@
 namespace tsg {
 
 /// C = (A*B) .* structure(mask). Values come from the product; entries of
-/// the product outside the mask's pattern are dropped (and never computed).
-/// Transient-context wrapper around SpgemmContext::run_masked — iterated
-/// callers should hold a context instead (see spgemm_context.h).
+/// the product outside the mask's pattern are dropped. C keeps every tile
+/// of the mask, empty ones included. Transient-context wrapper around
+/// SpgemmContext::run_masked — iterated callers should hold a context
+/// instead (see spgemm_context.h).
 template <class T>
 TileMatrix<T> tile_spgemm_masked(const TileMatrix<T>& a, const TileMatrix<T>& b,
                                  const TileMatrix<T>& mask,

@@ -1,9 +1,9 @@
-// AVX2 + BMI2 kernels for the step-2/3 dispatch family. This TU is the
-// only place (with simd_avx512.cpp) compiled with -mavx2 -mbmi2; the
-// exported table is reached strictly through runtime CPUID dispatch, so
-// nothing here may leak into unconditionally-executed code.
+// AVX2 + BMI2 kernels for the step-2/3 dispatch family; the symbolic ones
+// also serve the AVX-512 level. This TU is the only place (with
+// simd_avx512.cpp) compiled with -mavx2 -mbmi2; the exported table is
+// reached strictly through runtime CPUID dispatch, so nothing here may leak
+// into unconditionally-executed code.
 #include "core/simd_dispatch.h"
-#include "core/simd_x86.h"
 
 #if defined(__AVX2__) && defined(__BMI2__)
 
@@ -15,6 +15,56 @@
 namespace tsg::simd {
 namespace {
 
+/// OR-reduce the 16 row masks of a tile (one ymm of epi16) to the union
+/// mask: the set of B columns any row of the A tile touches.
+std::uint32_t union_rowmask16(__m256i rows) {
+  __m128i u = _mm_or_si128(_mm256_castsi256_si128(rows), _mm256_extracti128_si256(rows, 1));
+  u = _mm_or_si128(u, _mm_srli_si128(u, 8));
+  u = _mm_or_si128(u, _mm_srli_si128(u, 4));
+  u = _mm_or_si128(u, _mm_srli_si128(u, 2));
+  return static_cast<std::uint32_t>(_mm_extract_epi16(u, 0));
+}
+
+/// Vector form of the step-2 derivation: unpack the packed accumulator
+/// into the 16 row masks, per-row popcounts via the nibble LUT, a 16-lane
+/// inclusive prefix sum by log-step shifts, and the exclusive row pointers
+/// narrowed to bytes. Writes all 16 mask/row_ptr entries; returns the tile
+/// nonzero count. Exclusive prefixes peak at 240 (15 rows x 16 columns),
+/// so the u8 narrowing cannot saturate.
+index_t derive_avx2(const std::uint64_t cm[kTileMaskWords], rowmask_t* mask_out,
+                    std::uint8_t* row_ptr_out) {
+  const __m256i rows = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cm));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(mask_out), rows);
+
+  const __m256i nib = _mm256_set1_epi8(0x0F);
+  const __m256i lut = _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,  //
+                                       0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
+  const __m256i lo = _mm256_and_si256(rows, nib);
+  const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(rows, 4), nib);
+  const __m256i cnt8 =
+      _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo), _mm256_shuffle_epi8(lut, hi));
+  // Per-byte counts are <= 8, so the pairwise maddubs reduction to 16-bit
+  // lane popcounts cannot saturate.
+  const __m256i cnt16 = _mm256_maddubs_epi16(cnt8, _mm256_set1_epi8(1));
+
+  __m256i incl = cnt16;
+  incl = _mm256_add_epi16(incl, _mm256_slli_si256(incl, 2));
+  incl = _mm256_add_epi16(incl, _mm256_slli_si256(incl, 4));
+  incl = _mm256_add_epi16(incl, _mm256_slli_si256(incl, 8));
+  // slli_si256 shifts within 128-bit halves; carry the low half's total
+  // (lane 7, bytes 14:15) into every lane of the high half.
+  const __m128i low_total =
+      _mm_shuffle_epi8(_mm256_castsi256_si128(incl), _mm_set1_epi16(0x0F0E));
+  incl = _mm256_add_epi16(incl, _mm256_inserti128_si256(_mm256_setzero_si256(), low_total, 1));
+
+  const __m256i excl = _mm256_sub_epi16(incl, cnt16);
+  const __m256i bytes = _mm256_packus_epi16(excl, _mm256_setzero_si256());
+  const __m256i ordered = _mm256_permute4x64_epi64(bytes, 0x08);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(row_ptr_out), _mm256_castsi256_si128(ordered));
+
+  return static_cast<index_t>(_mm256_extract_epi16(incl, 15));
+}
+
 void mask_or_avx2(const rowmask_t* mask_a, const rowmask_t* mask_b,
                   std::uint64_t cm[kTileMaskWords]) {
   const __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask_a));
@@ -22,7 +72,7 @@ void mask_or_avx2(const rowmask_t* mask_a, const rowmask_t* mask_b,
   // One pass per column the A tile touches anywhere: broadcast-compare
   // selects the rows holding that column, which all OR in the same B row
   // mask. Sparse tiles touch few columns, so this beats 16 scalar walks.
-  std::uint32_t uni = x86::union_rowmask16(va);
+  std::uint32_t uni = union_rowmask16(va);
   while (uni != 0) {
     const int c = std::countr_zero(uni);
     uni &= uni - 1;
@@ -32,11 +82,6 @@ void mask_or_avx2(const rowmask_t* mask_a, const rowmask_t* mask_b,
     acc = _mm256_or_si256(acc, contrib);
   }
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(cm), acc);
-}
-
-index_t derive_avx2(const std::uint64_t cm[kTileMaskWords], rowmask_t* mask_out,
-                    std::uint8_t* row_ptr_out) {
-  return x86::derive_epi16(cm, mask_out, row_ptr_out);
 }
 
 // Dword-pair permute patterns for compressing 4 doubles by a 4-bit mask:

@@ -1,13 +1,11 @@
-// AVX-512 (F + BW + VL) kernels for the step-2/3 dispatch family. The
-// mask registers and compress instructions remove the AVX2 kernels' two
-// workarounds: compare-and-blend mask selection becomes k-register ops,
-// and the compress/materialize emulations become single vpcompress /
-// masked-store instructions with *exact* store widths (safe to target
-// shared output directly). Expand-loads also give the accumulate a row
-// kernel, which the AVX2 level lacks. Reached only through runtime CPUID
-// dispatch.
+// AVX-512 (F + BW + VL) kernels for step 3's dispatch family. The compress
+// instructions remove the AVX2 kernels' workaround: the compress and
+// materialize emulations become single vpcompress / masked-store
+// instructions with *exact* store widths (safe to target shared output
+// directly). Expand-loads also give the accumulate a row kernel, which the
+// AVX2 level lacks. Step 2 runs AVX2's symbolic kernels at this level.
+// Reached only through runtime CPUID dispatch.
 #include "core/simd_dispatch.h"
-#include "core/simd_x86.h"
 
 #if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512VL__) && \
     defined(__AVX2__) && defined(__BMI2__)
@@ -18,29 +16,6 @@
 
 namespace tsg::simd {
 namespace {
-
-void mask_or_avx512(const rowmask_t* mask_a, const rowmask_t* mask_b,
-                    std::uint64_t cm[kTileMaskWords]) {
-  const __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask_a));
-  __m256i acc = _mm256_loadu_si256(reinterpret_cast<__m256i*>(cm));
-  std::uint32_t uni = x86::union_rowmask16(va);
-  while (uni != 0) {
-    const int c = std::countr_zero(uni);
-    uni &= uni - 1;
-    const __mmask16 sel =
-        _mm256_test_epi16_mask(va, _mm256_set1_epi16(static_cast<short>(1u << c)));
-    // No 16-bit-masked OR exists; OR unconditionally and blend the result
-    // back into the selected lanes (vmovdqu16 with a k-mask, BW + VL).
-    acc = _mm256_mask_mov_epi16(
-        acc, sel, _mm256_or_si256(acc, _mm256_set1_epi16(static_cast<short>(mask_b[c]))));
-  }
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(cm), acc);
-}
-
-index_t derive_avx512(const std::uint64_t cm[kTileMaskWords], rowmask_t* mask_out,
-                      std::uint8_t* row_ptr_out) {
-  return x86::derive_epi16(cm, mask_out, row_ptr_out);
-}
 
 void compress_avx512_d(const double* acc, const rowmask_t* mask_c, double* out) {
   index_t o = 0;
@@ -152,14 +127,16 @@ void accumulate_avx512_f(const std::uint8_t* a_row, const std::uint8_t* a_col,
   }
 }
 
-constexpr SymbolicOps kSym = {&mask_or_avx512, &derive_avx512};
 constexpr NumericOps kNum = {&compress_avx512_d, &compress_avx512_f, &materialize_avx512,
                              &accumulate_avx512_d, &accumulate_avx512_f};
 
 }  // namespace
 
 namespace detail {
-LevelKernels avx512_kernels() { return {&kSym, &kNum}; }
+// No symbolic table: step 2 runs AVX2's kernels at this level, which its
+// own kernels did not beat by the 5% a variant must earn
+// (docs/PERFORMANCE.md).
+LevelKernels avx512_kernels() { return {nullptr, &kNum}; }
 }  // namespace detail
 
 }  // namespace tsg::simd

@@ -195,9 +195,11 @@ struct LevelTables {
   std::array<NumericOps, kLevelCount> num;
 };
 
-/// Assemble the per-level tables once. An AVX level that is unavailable
-/// (stub TU or missing CPU bits) inherits the next-lower table so even an
-/// unclamped lookup never lands on a null pointer or an illegal opcode.
+/// Assemble the per-level tables once. An AVX level inherits the
+/// next-lower level's tables and takes the ones its TU exports only when the
+/// TU compiled and the CPU runs it, so even an unclamped lookup never lands
+/// on a null pointer or an illegal opcode. A table a TU does not export
+/// (AVX-512's symbolic one) stays inherited.
 const LevelTables& tables() {
   static const LevelTables t = [] {
     LevelTables out;
@@ -205,20 +207,15 @@ const LevelTables& tables() {
     out.num[0] = kScalarNum;
     out.sym[1] = kSwarSym;
     out.num[1] = kSwarNum;
-    out.sym[2] = out.sym[1];
-    out.num[2] = out.num[1];
-    if (const detail::LevelKernels k = detail::avx2_kernels();
-        k.sym != nullptr && k.num != nullptr && cpu_has_avx2()) {
-      out.sym[2] = *k.sym;
-      out.num[2] = *k.num;
-    }
-    out.sym[3] = out.sym[2];
-    out.num[3] = out.num[2];
-    if (const detail::LevelKernels k = detail::avx512_kernels();
-        k.sym != nullptr && k.num != nullptr && cpu_has_avx512()) {
-      out.sym[3] = *k.sym;
-      out.num[3] = *k.num;
-    }
+    const auto install = [&out](std::size_t level, const detail::LevelKernels& k, bool cpu) {
+      out.sym[level] = out.sym[level - 1];
+      out.num[level] = out.num[level - 1];
+      if (k.num == nullptr || !cpu) return;
+      if (k.sym != nullptr) out.sym[level] = *k.sym;
+      out.num[level] = *k.num;
+    };
+    install(2, detail::avx2_kernels(), cpu_has_avx2());
+    install(3, detail::avx512_kernels(), cpu_has_avx512());
     return out;
   }();
   return t;
@@ -234,8 +231,8 @@ std::size_t level_index(Level level) {
 const SymbolicOps& symbolic_ops(Level level) { return tables().sym[level_index(level)]; }
 const NumericOps& numeric_ops(Level level) { return tables().num[level_index(level)]; }
 
-bool compiled_avx2() { return detail::avx2_kernels().sym != nullptr; }
-bool compiled_avx512() { return detail::avx512_kernels().sym != nullptr; }
+bool compiled_avx2() { return detail::avx2_kernels().num != nullptr; }
+bool compiled_avx512() { return detail::avx512_kernels().num != nullptr; }
 
 bool level_available(Level level) {
   switch (level) {

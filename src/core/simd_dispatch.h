@@ -12,7 +12,8 @@
 //   kScalar  — the per-row/per-bit reference kernels (the A/B oracle)
 //   kSwar    — PR 5's word-packed uint64[4] kernels (common/bitops.h)
 //   kAvx2    — ymm kernels (requires AVX2 + BMI2, compile probe __AVX2__)
-//   kAvx512  — masked/compress kernels (AVX-512 F+BW+VL, probe __AVX512F__)
+//   kAvx512  — step-3 compress/expand kernels (AVX-512 F+BW+VL, probe
+//              __AVX512F__); step 2 keeps kAvx2's kernels
 //
 // Every level is bit-identical to kScalar by construction: the vector
 // kernels reorder *reads* (mask ORs, popcounts, compress permutes, B-row
@@ -44,7 +45,7 @@ enum class Level : std::uint8_t {
   kScalar = 0,  ///< per-row reference kernels (the bit-identity oracle)
   kSwar = 1,    ///< word-packed uint64[4] kernels, always available
   kAvx2 = 2,    ///< 256-bit vector kernels (AVX2 + BMI2)
-  kAvx512 = 3,  ///< masked/compress kernels (AVX-512 F + BW + VL)
+  kAvx512 = 3,  ///< step-3 compress/expand kernels (AVX-512 F + BW + VL)
 };
 
 inline constexpr int kLevelCount = 4;
@@ -138,7 +139,9 @@ bool compiled_avx512();
 namespace detail {
 
 /// What one ISA-specific TU exports: null pointers when the compile probe
-/// failed and the TU fell back to its stub body.
+/// failed and the TU fell back to its stub body. A TU without symbolic
+/// kernels of its own (AVX-512) exports a null `sym` and keeps the level
+/// below's.
 struct LevelKernels {
   const SymbolicOps* sym;
   const NumericOps* num;

@@ -68,6 +68,26 @@ int bin_of(offset_t cost) {
   return 3;
 }
 
+/// A masked product's C keeps M's tiles: they take step 1's place as the
+/// structure steps 2-3 visit. Only the occupancy words that match live
+/// pairs are derived (step 1's transposed words are not needed).
+template <class T>
+void mask_tile_structure(const TileMatrix<T>& a, const TileMatrix<T>& b,
+                         const TileMatrix<T>& mask, SpgemmWorkspace<T>& ws) {
+  derive_tile_occupancy(a, b, ws);
+  TileStructure& st = ws.structure;
+  st.tile_rows = mask.tile_rows;
+  st.tile_cols = mask.tile_cols;
+  st.tile_ptr = mask.tile_ptr;
+  st.tile_col_idx = mask.tile_col_idx;
+  st.tile_row_idx.resize(static_cast<std::size_t>(mask.num_tiles()));
+  for (index_t tr = 0; tr < mask.tile_rows; ++tr) {
+    for (offset_t t = mask.tile_ptr[tr]; t < mask.tile_ptr[tr + 1]; ++t) {
+      st.tile_row_idx[static_cast<std::size_t>(t)] = tr;
+    }
+  }
+}
+
 /// Shape the rows x cols C before any of its entries exist, in the
 /// caller's layout: a CSR C gets its dimensions and row_ptr[0], which the
 /// offset pass counts up from; a tile C its dimensions and step 1's tile
@@ -359,7 +379,7 @@ ExecutionPlan SpgemmContext::make_plan(const TileMatrix<T>& a, const TileLayoutC
 
 template <class T>
 TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMatrix<T>& b,
-                                            Csr<T>* csr) {
+                                            const RunSpec<T>& spec) {
   TSG_TRACE_SPAN("spgemm.run");
   std::optional<obs::MetricsSnapshot> before;
   if (obs::metrics_detail_enabled()) {
@@ -387,11 +407,15 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
     tile_layout_csc(b, ws.b_csc);
   }
 
-  // Step 1: tile structure of C.
+  // Step 1: tile structure of C, or M's for a masked product.
   {
     ScopedAccumulator scope(tm.step1_ms);
     TSG_TRACE_SPAN("step1");
-    step1_tile_structure(a, b, ws, ws.structure);
+    if (spec.mask != nullptr) {
+      mask_tile_structure(a, b, *spec.mask, ws);
+    } else {
+      step1_tile_structure(a, b, ws, ws.structure);
+    }
   }
   // Stage boundary: convert a reason latched inside step 1 into the
   // structured status before the partial structure is consumed, and bump
@@ -405,6 +429,7 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
   // re-unbind them), so the fixed share plan_budget reads from ws.bytes()
   // counts them.
   ws.reset_row_index(a.tile_cols);
+  Csr<T>* const csr = spec.csr;
   BudgetPlan budget;
   {
     ScopedAccumulator scope(tm.plan_ms);
@@ -420,11 +445,12 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
   }
 
   if (budget.limited) {
-    run_chunked(a, b, budget.chunks, ws, result, csr);
+    run_chunked(a, b, spec, budget.chunks, ws, result);
     tm.chunks = static_cast<int>(budget.chunks.size());
   } else {
     // Cost model + binned schedule (plan_ms).
-    const ExecutionPlan plan = make_plan(a, ws.b_csc, ws.structure, ws, tm);
+    ExecutionPlan plan = make_plan(a, ws.b_csc, ws.structure, ws, tm);
+    if (spec.mask != nullptr) plan.mask = spec.mask->mask.data();
 
     // Step 2: per-tile symbolic -> nnz, row pointers, masks.
     Step2Result symbolic;
@@ -451,7 +477,7 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
     {
       ScopedAccumulator scope(tm.step3_ms);
       TSG_TRACE_SPAN("step3", ws.structure.num_tiles());
-      step3_numeric(a, b, ws.b_csc, ws.structure, cfg_.options, symbolic, ws, plan, out);
+      spec.numeric(a, b, ws.b_csc, ws.structure, cfg_.options, symbolic, ws, plan, out);
     }
     // Stage boundary: values of skipped tiles were never written — the
     // partial C must not be returned as a result.
@@ -479,9 +505,10 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
 
 template <class T>
 void SpgemmContext::run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
+                                const RunSpec<T>& spec,
                                 const std::vector<std::pair<index_t, index_t>>& chunks,
-                                SpgemmWorkspace<T>& ws, TileSpgemmResult<T>& result,
-                                Csr<T>* csr) {
+                                SpgemmWorkspace<T>& ws, TileSpgemmResult<T>& result) {
+  Csr<T>* const csr = spec.csr;
   const TileStructure& st = ws.structure;
   TileSpgemmTimings& tm = result.timings;
   TileMatrix<T>& c = result.c;
@@ -533,7 +560,9 @@ void SpgemmContext::run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
                                    st.tile_col_idx.begin() + static_cast<std::ptrdiff_t>(thi));
     }
 
-    const ExecutionPlan plan = make_plan(a, ws.b_csc, chunk_st, ws, tm);
+    ExecutionPlan plan = make_plan(a, ws.b_csc, chunk_st, ws, tm);
+    // The chunk's tiles are M's tiles [tlo, thi) of a masked product.
+    if (spec.mask != nullptr) plan.mask = spec.mask->mask.data() + tlo * kTileDim;
 
     Step2Result symbolic;
     {
@@ -552,7 +581,7 @@ void SpgemmContext::run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
     {
       ScopedAccumulator scope(tm.step3_ms);
       TSG_TRACE_SPAN("step3", chunk_st.num_tiles());
-      step3_numeric(a, b, ws.b_csc, chunk_st, cfg_.options, symbolic, ws, plan, out);
+      spec.numeric(a, b, ws.b_csc, chunk_st, cfg_.options, symbolic, ws, plan, out);
     }
     check_cancelled();  // don't stitch a chunk whose values have holes
     if (csr != nullptr) continue;
@@ -577,7 +606,8 @@ void SpgemmContext::run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
 
 template <class T>
 Expected<TileSpgemmResult<T>> SpgemmContext::try_run_into(const TileMatrix<T>& a,
-                                                          const TileMatrix<T>& b, Csr<T>* csr) {
+                                                          const TileMatrix<T>& b,
+                                                          const RunSpec<T>& spec) {
   const ThreadScope threads(*this);
   if (a.cols != b.rows) {
     return Status::dimension_mismatch("spgemm: inner dimensions differ (A is " +
@@ -585,14 +615,27 @@ Expected<TileSpgemmResult<T>> SpgemmContext::try_run_into(const TileMatrix<T>& a
                                       ", B is " + std::to_string(b.rows) + "x" +
                                       std::to_string(b.cols) + ")");
   }
+  const TileMatrix<T>* const mask = spec.mask;
+  if (mask != nullptr && (mask->rows != a.rows || mask->cols != b.cols)) {
+    return Status::dimension_mismatch("masked spgemm: mask shape does not match A*B");
+  }
+  // An aliased operand is checked once.
   if (Status s = validate_tile_operand(a, "A", cfg_.validation, cfg_.nan_policy); !s.ok()) {
     return s;
   }
-  if (Status s = validate_tile_operand(b, "B", cfg_.validation, cfg_.nan_policy); !s.ok()) {
-    return s;
+  if (&b != &a) {
+    if (Status s = validate_tile_operand(b, "B", cfg_.validation, cfg_.nan_policy); !s.ok()) {
+      return s;
+    }
+  }
+  if (mask != nullptr && mask != &a && mask != &b) {
+    if (Status s = validate_tile_operand(*mask, "mask", cfg_.validation, cfg_.nan_policy);
+        !s.ok()) {
+      return s;
+    }
   }
   try {
-    return run_impl(a, b, csr);
+    return run_impl(a, b, spec);
   } catch (const Error& e) {
     return e.status();
   } catch (const std::bad_alloc&) {
@@ -605,7 +648,7 @@ Expected<TileSpgemmResult<T>> SpgemmContext::try_run_into(const TileMatrix<T>& a
 template <class T>
 Expected<TileSpgemmResult<T>> SpgemmContext::try_run(const TileMatrix<T>& a,
                                                      const TileMatrix<T>& b) {
-  return try_run_into<T>(a, b, nullptr);
+  return try_run_into(a, b, RunSpec<T>{});
 }
 
 template <class T>
@@ -671,7 +714,9 @@ Expected<Csr<T>> SpgemmContext::try_run_csr(const Csr<T>& a, const Csr<T>& b,
     // C comes back in CSR directly: step 3 writes its rows, so there is no
     // tile-layout C to convert back.
     Csr<T> c;
-    Expected<TileSpgemmResult<T>> result = try_run_into(ta, tb ? *tb : ta, &c);
+    RunSpec<T> spec;
+    spec.csr = &c;
+    Expected<TileSpgemmResult<T>> result = try_run_into(ta, tb ? *tb : ta, spec);
     if (!result.ok()) {
       pending_convert_ms_ = 0.0;  // the failed run consumed nothing; don't charge the next one
       return result.status();
@@ -690,6 +735,23 @@ Expected<Csr<T>> SpgemmContext::try_run_csr(const Csr<T>& a, const Csr<T>& b,
 template <class T>
 Csr<T> SpgemmContext::run_csr(const Csr<T>& a, const Csr<T>& b, TileSpgemmTimings* timings) {
   return std::move(try_run_csr(a, b, timings)).value();
+}
+
+template <class T>
+Expected<TileMatrix<T>> SpgemmContext::try_run_masked(const TileMatrix<T>& a,
+                                                      const TileMatrix<T>& b,
+                                                      const TileMatrix<T>& mask) {
+  RunSpec<T> spec;
+  spec.mask = &mask;
+  Expected<TileSpgemmResult<T>> product = try_run_into(a, b, spec);
+  if (!product.ok()) return product.status();
+  return std::move(product->c);
+}
+
+template <class T>
+TileMatrix<T> SpgemmContext::run_masked(const TileMatrix<T>& a, const TileMatrix<T>& b,
+                                        const TileMatrix<T>& mask) {
+  return std::move(try_run_masked(a, b, mask)).value();
 }
 
 template Expected<TileSpgemmResult<double>> SpgemmContext::try_run(const TileMatrix<double>&,
@@ -712,7 +774,23 @@ template Csr<double> SpgemmContext::run_csr(const Csr<double>&, const Csr<double
                                             TileSpgemmTimings*);
 template Csr<float> SpgemmContext::run_csr(const Csr<float>&, const Csr<float>&,
                                            TileSpgemmTimings*);
+template Expected<TileMatrix<double>> SpgemmContext::try_run_masked(const TileMatrix<double>&,
+                                                                    const TileMatrix<double>&,
+                                                                    const TileMatrix<double>&);
+template Expected<TileMatrix<float>> SpgemmContext::try_run_masked(const TileMatrix<float>&,
+                                                                   const TileMatrix<float>&,
+                                                                   const TileMatrix<float>&);
+template TileMatrix<double> SpgemmContext::run_masked(const TileMatrix<double>&,
+                                                      const TileMatrix<double>&,
+                                                      const TileMatrix<double>&);
+template TileMatrix<float> SpgemmContext::run_masked(const TileMatrix<float>&,
+                                                     const TileMatrix<float>&,
+                                                     const TileMatrix<float>&);
 template TileMatrix<double> SpgemmContext::to_tile(const Csr<double>&);
 template TileMatrix<float> SpgemmContext::to_tile(const Csr<float>&);
+template Expected<TileSpgemmResult<double>> SpgemmContext::try_run_into(
+    const TileMatrix<double>&, const TileMatrix<double>&, const RunSpec<double>&);
+template Expected<TileSpgemmResult<float>> SpgemmContext::try_run_into(
+    const TileMatrix<float>&, const TileMatrix<float>&, const RunSpec<float>&);
 
 }  // namespace tsg

@@ -18,7 +18,15 @@
 //                                C written straight into CSR by step 3
 //           ctx.run_aat(a)       A * A^T, transpose formed tile-natively
 //           ctx.run_masked(...)  C = (A*B) .* structure(M)
+//           ctx.try_run_semiring<S>(a, b)   C = A (x) B over semiring S
 //           ctx.workspace_bytes() / ctx.release_workspaces()
+//
+// All of them run one pipeline (try_run_into -> run_impl / run_chunked):
+// validation, the thread count, cancellation, the budget with chunked
+// degradation, the cost-binned plan, the dispatched step-2 kernels and the
+// run counters apply to each the same way. A masked product takes M's tile
+// structure where step 1 would run, and step 2 ANDs M's row masks into C's;
+// a semiring product swaps step 3's numeric pass (step3.h).
 //
 // Every run* entry point has a try_run* twin returning Expected<...>:
 // anticipated failures (bad operands, the modeled device budget with
@@ -26,7 +34,8 @@
 // MemoryTracker fault plan) come back as a tsg::Status instead of an
 // exception, and the context remains reusable for the next call. The
 // classic run* names wrap the try_ variants and throw tsg::Error carrying
-// the same Status.
+// the same Status; try_run_semiring's throwing form is
+// tile_spgemm_semiring(ctx, a, b) in semiring_spgemm.h.
 //
 // Budget enforcement (the paper's Fig. 9 robustness claim): after step 1
 // the context bounds the per-call device-side footprint — one constant
@@ -50,8 +59,8 @@
 // than reading matched pairs from a cache.
 //
 // The free functions tile_spgemm() / spgemm_tile() / tile_spgemm_aat() /
-// tile_spgemm_masked() remain as thin wrappers that create a transient
-// context per call.
+// tile_spgemm_masked() / tile_spgemm_semiring() remain as thin wrappers
+// that create a transient context per call.
 //
 // Thread safety: a context is a single-caller object (like a cuSPARSE or
 // KokkosKernels handle). Concurrent run() calls on one context race on the
@@ -65,7 +74,9 @@
 
 #include "common/parallel.h"
 #include "common/status.h"
+#include "core/semiring.h"
 #include "core/spgemm_workspace.h"
+#include "core/step3.h"
 #include "core/tile_spgemm.h"
 
 namespace tsg {
@@ -82,8 +93,8 @@ class SpgemmContext {
     /// Kernel options (the SIMD level) — defaults follow the paper.
     TileSpgemmOptions options{};
     /// Worker threads for everything a call on this context runs —
-    /// validation, conversion and every step (see ThreadScope); 0 keeps
-    /// the library-wide setting (set_num_threads / OMP_NUM_THREADS).
+    /// validation, conversion and every step; 0 keeps the library-wide
+    /// setting (set_num_threads / OMP_NUM_THREADS).
     int threads = 0;
     /// Modeled device-memory budget in MB; 0 keeps TSG_DEVICE_MEM_MB (or
     /// its 420 MB default). Published process-wide at context creation and
@@ -161,29 +172,6 @@ class SpgemmContext {
   void set_cancel_token(CancelToken t) { cancel_ = std::move(t); }
   const CancelToken& cancel_token() const { return cancel_; }
 
-  /// Applies Config::threads, when set, for its lifetime. Every public
-  /// entry point opens one first, so validation, conversion and all steps
-  /// run on the configured count; nested scopes restore what they found.
-  /// Public for kernel extensions (semiring header) that drive the steps
-  /// themselves.
-  class ThreadScope {
-   public:
-    explicit ThreadScope(const SpgemmContext& ctx) {
-      if (ctx.cfg_.threads > 0) guard_.emplace(ctx.cfg_.threads);
-    }
-
-   private:
-    std::optional<ThreadCountGuard> guard_;
-  };
-
-  /// Raise kCancelled/kDeadlineExceeded when the active token tripped —
-  /// the serial pipeline layer's check at stage boundaries (parallel
-  /// bodies only skip). Public for kernel extensions (semiring header)
-  /// that drive the steps themselves.
-  void check_cancelled() const {
-    if (cancel_.should_stop()) throw Error(cancel_.to_status());
-  }
-
   /// C = A * B on tile-format operands. Timings carry the per-step
   /// breakdown plus the cost-bin counters, the pooled-workspace footprint,
   /// and the budget outcome (chunks / budget_limited). Anticipated
@@ -219,9 +207,9 @@ class SpgemmContext {
   template <class T>
   Csr<T> run_csr(const Csr<T>& a, const Csr<T>& b, TileSpgemmTimings* timings = nullptr);
 
-  /// C = (A*B) .* structure(mask), Values from the product; entries outside
-  /// the mask's pattern are never computed. Defined in masked_spgemm.cpp.
-  /// Throwing twin: run_masked().
+  /// C = (A*B) .* structure(mask), values from the product. C keeps every
+  /// tile of M, empty ones included; its entries are the product's inside
+  /// M's pattern. Throwing twin: run_masked().
   template <class T>
   Expected<TileMatrix<T>> try_run_masked(const TileMatrix<T>& a, const TileMatrix<T>& b,
                                          const TileMatrix<T>& mask);
@@ -229,6 +217,17 @@ class SpgemmContext {
   template <class T>
   TileMatrix<T> run_masked(const TileMatrix<T>& a, const TileMatrix<T>& b,
                            const TileMatrix<T>& mask);
+
+  /// C = A (x) B over `Semiring` (semiring.h), tile in/out: the structure
+  /// is the structural product, and each entry reduces its products from
+  /// Semiring::identity(). The same contract and pipeline as try_run, with
+  /// step 3's pass instantiated for the semiring. Throwing form:
+  /// tile_spgemm_semiring(ctx, a, b).
+  template <class Semiring, class T>
+  Expected<TileSpgemmResult<T>> try_run_semiring(const TileMatrix<T>& a,
+                                                 const TileMatrix<T>& b) {
+    return try_run_into(a, b, RunSpec<T>{&step3_numeric<Semiring, T>});
+  }
 
   /// Convert through the context so the conversion cost is attributed to
   /// the next run()'s convert_ms instead of being re-timed by callers.
@@ -246,12 +245,42 @@ class SpgemmContext {
     ws_f_.release();
   }
 
-  /// Direct access to the pooled workspace of a value type — for kernel
-  /// extensions (semiring header) that drive steps 1-3 themselves.
+ private:
+  /// Applies Config::threads, when set, for its lifetime. Every public
+  /// entry point opens one first, so validation, conversion and all steps
+  /// run on the configured count; nested scopes restore what they found.
+  class ThreadScope {
+   public:
+    explicit ThreadScope(const SpgemmContext& ctx) {
+      if (ctx.cfg_.threads > 0) guard_.emplace(ctx.cfg_.threads);
+    }
+
+   private:
+    std::optional<ThreadCountGuard> guard_;
+  };
+
+  /// What a call computes besides C = A*B into a tile C: step 3's numeric
+  /// pass (the semiring), a masked product's M (its tiles become C's, and
+  /// step 2 ANDs its row masks into C's), and a CSR caller's C, which step
+  /// 3 then writes instead of result.c.
+  template <class T>
+  struct RunSpec {
+    Step3Fn<T> numeric = &step3_numeric<PlusTimes<T>, T>;
+    const TileMatrix<T>* mask = nullptr;
+    Csr<T>* csr = nullptr;
+  };
+
+  /// Raise kCancelled/kDeadlineExceeded when the active token tripped —
+  /// the serial pipeline layer's check at stage boundaries (parallel
+  /// bodies only skip).
+  void check_cancelled() const {
+    if (cancel_.should_stop()) throw Error(cancel_.to_status());
+  }
+
+  /// The pooled workspace of a value type.
   template <class T>
   SpgemmWorkspace<T>& workspace();
 
- private:
   /// Cost-binned schedule over the tiles of `structure` (the full step-1
   /// structure, or one chunk of it under budget degradation).
   template <class T>
@@ -259,31 +288,27 @@ class SpgemmContext {
                           const TileStructure& structure, SpgemmWorkspace<T>& ws,
                           TileSpgemmTimings& tm);
 
-  /// try_run's contract (threads, validation, Status conversion) around
-  /// run_impl; `csr` as there.
+  /// Every entry point's contract (threads, validation of A, B and M,
+  /// Status conversion) around run_impl.
   template <class T>
   Expected<TileSpgemmResult<T>> try_run_into(const TileMatrix<T>& a, const TileMatrix<T>& b,
-                                             Csr<T>* csr);
+                                             const RunSpec<T>& spec);
 
   /// The pipeline body shared by single-shot and chunked execution; throws
-  /// (bad_alloc, Error) rather than returning a Status — try_run converts.
-  /// C lands in `*csr` when it is non-null (result.c stays empty), in
-  /// result.c otherwise.
+  /// (bad_alloc, Error) rather than returning a Status — try_run_into
+  /// converts. C lands in `*spec.csr` when it is set (result.c stays
+  /// empty), in result.c otherwise.
   template <class T>
-  TileSpgemmResult<T> run_impl(const TileMatrix<T>& a, const TileMatrix<T>& b, Csr<T>* csr);
+  TileSpgemmResult<T> run_impl(const TileMatrix<T>& a, const TileMatrix<T>& b,
+                               const RunSpec<T>& spec);
 
   /// Chunked degradation: executes steps 2-3 tile-row range by range and
   /// stitches the ranges into `result.c`, or appends their CSR rows to
-  /// `*csr` (bit-identical to single-shot either way).
+  /// `*spec.csr` (bit-identical to single-shot either way).
   template <class T>
-  void run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
+  void run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b, const RunSpec<T>& spec,
                    const std::vector<std::pair<index_t, index_t>>& chunks,
-                   SpgemmWorkspace<T>& ws, TileSpgemmResult<T>& result, Csr<T>* csr);
-
-  /// Masked pipeline body (masked_spgemm.cpp); throws, try_run_masked converts.
-  template <class T>
-  TileMatrix<T> run_masked_impl(const TileMatrix<T>& a, const TileMatrix<T>& b,
-                                const TileMatrix<T>& mask);
+                   SpgemmWorkspace<T>& ws, TileSpgemmResult<T>& result);
 
   Config cfg_;
   CancelToken cancel_;
@@ -337,5 +362,9 @@ extern template TileMatrix<float> SpgemmContext::run_masked(const TileMatrix<flo
                                                             const TileMatrix<float>&);
 extern template TileMatrix<double> SpgemmContext::to_tile(const Csr<double>&);
 extern template TileMatrix<float> SpgemmContext::to_tile(const Csr<float>&);
+extern template Expected<TileSpgemmResult<double>> SpgemmContext::try_run_into(
+    const TileMatrix<double>&, const TileMatrix<double>&, const RunSpec<double>&);
+extern template Expected<TileSpgemmResult<float>> SpgemmContext::try_run_into(
+    const TileMatrix<float>&, const TileMatrix<float>&, const RunSpec<float>&);
 
 }  // namespace tsg

@@ -122,6 +122,10 @@ constexpr std::size_t tile_output_bytes_bound(bool csr_out) {
 /// before the dynamically scheduled loop runs out of parallel slack.
 struct ExecutionPlan {
   const offset_t* order = nullptr;  ///< visit order over C tiles; null = natural
+  /// A masked product's filter, null otherwise: the 16 row masks of M's
+  /// tile for each tile of the structure (which is M's own), ANDed into the
+  /// tile's words before step 2 derives C's masks from them.
+  const rowmask_t* mask = nullptr;
   /// Cooperative cancellation/deadline for this call. Default token is
   /// inert (one null test per check). Parallel bodies in src/core must not
   /// throw (`throw-in-parallel`), so steps 2/3 poll it and *skip* remaining

@@ -23,8 +23,9 @@ inline constexpr index_t kPackedGatherMaxNnz = 2 * kTileDim;
 inline constexpr index_t kSwarGatherMaxNnz = 4 * kTileDim;
 
 /// The per-tile loop of step 2, instantiated once per kernel so each
-/// level's loop is compiled on its own: `kernel(pairs, row_ptr_out,
-/// mask_out)` ORs one C tile's live pairs and derives all 16 of its row
+/// level's loop is compiled on its own: `kernel(pairs, allow, row_ptr_out,
+/// mask_out)` ORs one C tile's live pairs, ANDs in `allow` (M's row masks
+/// of the tile, or null without a mask) and derives all 16 of its row
 /// pointers and masks, returning the tile's nonzero count.
 template <class T, class TileKernel>
 void symbolic_tiles(const TileMatrix<T>& a, const TileLayoutCsc& b_csc,
@@ -59,7 +60,9 @@ void symbolic_tiles(const TileMatrix<T>& a, const TileLayoutCsc& b_csc,
     const std::vector<MatchedPair>& pairs =
         ws.slot(worker_rank()).match(a, b_csc, ws.occ, tile_i, tile_j);
     const std::size_t base = static_cast<std::size_t>(t) * kTileDim;
-    const index_t count = kernel(pairs, out.row_ptr.data() + base, out.mask.data() + base);
+    const rowmask_t* allow = plan.mask != nullptr ? plan.mask + base : nullptr;
+    const index_t count =
+        kernel(pairs, allow, out.row_ptr.data() + base, out.mask.data() + base);
     out.tile_nnz[static_cast<std::size_t>(t) + 1] = count;
     if (detail_metrics) {
       m_pairs.add(static_cast<std::int64_t>(pairs.size()));
@@ -77,6 +80,20 @@ void gather_pair(const TileMatrix<T>& a, offset_t tile_a, index_t nnz_a,
   for (index_t k = 0; k < nnz_a; ++k) {
     const std::size_t g = static_cast<std::size_t>(nz_base + k);
     gather[a.row_idx[g]] |= mask_b[a.col_idx[g]];
+  }
+}
+
+/// The packed levels' last word step before the derive: merge the
+/// hyper-sparse tiles' `gather` into `cm` and AND in `allow`, M's row masks
+/// of the tile, when the product is masked.
+void merge_words(std::uint64_t cm[kTileMaskWords], const rowmask_t* gather,
+                 const rowmask_t* allow) {
+  for (int wi = 0; wi < kTileMaskWords; ++wi) {
+    cm[wi] |= pack_rowmask_word(gather + wi * kRowsPerMaskWord);
+  }
+  if (allow == nullptr) return;
+  for (int wi = 0; wi < kTileMaskWords; ++wi) {
+    cm[wi] &= pack_rowmask_word(allow + wi * kRowsPerMaskWord);
   }
 }
 
@@ -104,8 +121,8 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
     // Reference path, one nonzero at a time: the A/B oracle and the
     // regression bench's speedup denominator.
     symbolic_tiles(a, b_csc, structure, ws, plan, out,
-                   [&](const std::vector<MatchedPair>& pairs, std::uint8_t* row_ptr_out,
-                       rowmask_t* mask_out) {
+                   [&](const std::vector<MatchedPair>& pairs, const rowmask_t* allow,
+                       std::uint8_t* row_ptr_out, rowmask_t* mask_out) {
                      rowmask_t mask_c[kTileDim] = {};
                      for (const MatchedPair& p : pairs) {
                        gather_pair(a, p.tile_a, a.tile_nnz_of(p.tile_a),
@@ -113,9 +130,12 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
                      }
                      index_t count = 0;
                      for (index_t r = 0; r < kTileDim; ++r) {
+                       const rowmask_t m =
+                           allow != nullptr ? static_cast<rowmask_t>(mask_c[r] & allow[r])
+                                            : mask_c[r];
                        row_ptr_out[r] = static_cast<std::uint8_t>(count);
-                       mask_out[r] = mask_c[r];
-                       count += popcount16(mask_c[r]);
+                       mask_out[r] = m;
+                       count += popcount16(m);
                      }
                      return count;
                    });
@@ -132,8 +152,8 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
     const rowmask_t* a_col = ws.occ.a_col.data();
     symbolic_tiles(
         a, b_csc, structure, ws, plan, out,
-        [&](const std::vector<MatchedPair>& pairs, std::uint8_t* row_ptr_out,
-            rowmask_t* mask_out) {
+        [&](const std::vector<MatchedPair>& pairs, const rowmask_t* allow,
+            std::uint8_t* row_ptr_out, rowmask_t* mask_out) {
           // `cm` only ever sees constant indices (the wi loops have
           // constexpr bounds, so they unroll), which keeps the four packed
           // words in registers across pairs; `gather` is the hyper-sparse
@@ -158,6 +178,7 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
               }
             }
           }
+          merge_words(cm, gather, allow);
           // SWAR derivation: per-word lane popcounts and their lane prefix
           // sums give four row-pointer entries per word, and the top lane
           // of the inclusive sums the word's count, replacing sixteen
@@ -169,7 +190,7 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
           std::uint8_t rp_loc[kTileDim] = {};
           index_t count = 0;
           for (int wi = 0; wi < kTileMaskWords; ++wi) {
-            const std::uint64_t w = cm[wi] | pack_rowmask_word(gather + wi * kRowsPerMaskWord);
+            const std::uint64_t w = cm[wi];
             const std::uint64_t incl = lane_prefix_sums16(lane_popcounts16(w));
             const std::uint64_t excl = incl << 16;
             for (int j = 0; j < kRowsPerMaskWord; ++j) {
@@ -188,8 +209,8 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
     // derivation, which writes the tile's slice directly with two stores.
     const simd::SymbolicOps& vec = simd::symbolic_ops(lvl);
     symbolic_tiles(a, b_csc, structure, ws, plan, out,
-                   [&](const std::vector<MatchedPair>& pairs, std::uint8_t* row_ptr_out,
-                       rowmask_t* mask_out) {
+                   [&](const std::vector<MatchedPair>& pairs, const rowmask_t* allow,
+                       std::uint8_t* row_ptr_out, rowmask_t* mask_out) {
                      std::uint64_t cm[kTileMaskWords] = {};
                      alignas(8) rowmask_t gather[kTileDim] = {};
                      for (const MatchedPair& p : pairs) {
@@ -201,9 +222,7 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
                          vec.mask_or(a.tile_mask(p.tile_a), mask_b, cm);
                        }
                      }
-                     for (int wi = 0; wi < kTileMaskWords; ++wi) {
-                       cm[wi] |= pack_rowmask_word(gather + wi * kRowsPerMaskWord);
-                     }
+                     merge_words(cm, gather, allow);
                      return vec.derive(cm, mask_out, row_ptr_out);
                    });
   }

@@ -6,8 +6,10 @@
 // intermediate space, which is the paper's answer to performance issue #2.
 // The matched pairs are not kept either: step 3 re-runs the intersection.
 //
-// The ExecutionPlan sets the visit order (the binned heavy-first schedule)
-// and carries the cancellation token.
+// The ExecutionPlan sets the visit order (the binned heavy-first schedule),
+// carries the cancellation token and, for a masked product, M's row masks:
+// they AND into each tile's words before its masks are derived, so C keeps
+// only the product's entries inside M.
 #pragma once
 
 #include <cstdint>
@@ -32,12 +34,13 @@ struct Step2Result {
   offset_t nnz() const { return tile_nnz.empty() ? 0 : tile_nnz.back(); }
 };
 
-/// Symbolic per-tile pass over step 1's exact structure: every tile has a
-/// live pair, so every tile derives all 16 of its masks and row pointers.
-/// `b_csc` is the column-major view of B's tile layout (tileColPtr_B /
-/// tileRowidx_B in Algorithm 2). `ws` supplies the per-thread intersection
-/// scratch and the occupancy words step 1 derived; `plan` sets the visit
-/// order.
+/// Symbolic per-tile pass over C's tile structure: step 1's exact one,
+/// where every tile has a live pair, or a masked product's M, whose tiles
+/// may come out empty. Every tile derives all 16 of its masks and row
+/// pointers. `b_csc` is the column-major view of B's tile layout
+/// (tileColPtr_B / tileRowidx_B in Algorithm 2). `ws` supplies the
+/// per-thread intersection scratch and the occupancy words; `plan` sets the
+/// visit order and the mask.
 template <class T>
 Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
                            const TileLayoutCsc& b_csc, const TileStructure& structure,

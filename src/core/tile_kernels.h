@@ -1,6 +1,6 @@
-// Per-tile numeric kernels shared by step 3 and the masked/semiring
-// variants. Each kernel works on one output tile whose symbolic structure
-// (16 row masks + local row pointers) is already known; all state fits in
+// Per-tile numeric kernels of step 3, for every semiring, with or without
+// a mask. Each kernel works on one output tile whose symbolic structure (16
+// row masks + local row pointers) is already known; all state fits in
 // registers / L1, mirroring the paper's warp-local accumulation
 // (Algorithm 3).
 #pragma once
@@ -10,20 +10,34 @@
 #include <cstdint>
 
 #include "core/intersect.h"
+#include "core/semiring.h"
 #include "core/simd_dispatch.h"
 #include "core/tile_format.h"
 
 namespace tsg {
 namespace detail {
 
-/// Scatter the products of all matched pairs into `slots` via popcount-rank
-/// indexing (Algorithm 3 lines 4-12): the final position of column cb in
-/// C's local row r is row_ptr[r] + rank of cb in mask[r].
-template <class T>
-inline void accumulate_pairs_sparse(const TileMatrix<T>& a, const TileMatrix<T>& b,
-                                    const MatchedPair* pairs, std::size_t pair_count,
-                                    const rowmask_t* mask_c, const std::uint8_t* row_ptr_c,
-                                    T* slots) {
+/// The rank-indexed walk over a semiring (Algorithm 3 lines 4-12): each of
+/// the tile's `nnz_c` slots starts at Semiring::identity(), and a product
+/// of A's (r, c) and B's (c, cb) lands in slot row_ptr[r] + the rank of cb
+/// in mask[r] as reduce(slot, combine(a, b)), in (pair, A nonzero, B
+/// column) order. With `kMasked`, a product whose column bit is clear in
+/// C's row mask is skipped: a masked product's step 2 ANDed M's masks into
+/// C's. Without a mask every product lands inside C's masks, so the walk
+/// saves the test.
+template <class Semiring, bool kMasked, class T>
+inline void accumulate_pairs_walk(const TileMatrix<T>& a, const TileMatrix<T>& b,
+                                  const MatchedPair* pairs, std::size_t pair_count,
+                                  const rowmask_t* mask_c, const std::uint8_t* row_ptr_c,
+                                  index_t nnz_c, T* slots) {
+  for (index_t k = 0; k < nnz_c; ++k) slots[k] = Semiring::identity();
+  // Raw array pointers: through the vectors, the stores into `slots` make
+  // the compiler reload B's value pointer for every product.
+  const std::uint8_t* a_row = a.row_idx.data();
+  const std::uint8_t* a_col = a.col_idx.data();
+  const T* a_val = a.val.data();
+  const std::uint8_t* b_col = b.col_idx.data();
+  const T* b_val = b.val.data();
   for (std::size_t pi = 0; pi < pair_count; ++pi) {
     const MatchedPair& p = pairs[pi];
     const offset_t a_nz = a.tile_nnz[p.tile_a];
@@ -31,17 +45,22 @@ inline void accumulate_pairs_sparse(const TileMatrix<T>& a, const TileMatrix<T>&
     const offset_t b_nz = b.tile_nnz[p.tile_b];
     for (index_t k = 0; k < a_cnt; ++k) {
       const std::size_t ga = static_cast<std::size_t>(a_nz + k);
-      const index_t r = a.row_idx[ga];
-      const index_t col_a = a.col_idx[ga];
-      const T va = a.val[ga];
+      const rowmask_t m = mask_c[a_row[ga]];
+      if constexpr (kMasked) {
+        if (m == 0) continue;  // the mask took C's whole row
+      }
       index_t lo, hi;
-      b.tile_row_range(p.tile_b, col_a, lo, hi);
-      const std::uint8_t base = row_ptr_c[r];
-      const rowmask_t m = mask_c[r];
+      b.tile_row_range(p.tile_b, a_col[ga], lo, hi);
+      const T va = a_val[ga];
+      T* row = slots + row_ptr_c[a_row[ga]];
       for (index_t kb = lo; kb < hi; ++kb) {
         const std::size_t gb = static_cast<std::size_t>(b_nz + kb);
-        const index_t cb = b.col_idx[gb];
-        slots[base + mask_rank(m, cb)] += va * b.val[gb];
+        const index_t cb = b_col[gb];
+        if constexpr (kMasked) {
+          if ((m & bit_of(cb)) == 0) continue;  // outside the mask
+        }
+        T& slot = row[mask_rank(m, cb)];
+        slot = Semiring::reduce(slot, Semiring::combine(va, b_val[gb]));
       }
     }
   }
@@ -79,27 +98,35 @@ inline void accumulate_pairs_dense(const TileMatrix<T>& a, const TileMatrix<T>& 
 }
 
 /// Largest C tile, in nonzeros, whose values go through the rank-indexed
-/// scatter instead of the dense row kernel: up to it, zeroing and
-/// compressing even the occupied rows costs more than ranking each
-/// product into its slot (measured in docs/PERFORMANCE.md). Both paths
-/// accumulate every slot in the same order, so the cut is invisible in the
-/// output.
+/// walk instead of the dense row kernel: up to it, zeroing and compressing
+/// even the occupied rows costs more than ranking each product into its
+/// slot (measured in docs/PERFORMANCE.md). Both paths accumulate every slot
+/// in the same order, so the cut is invisible in the output.
 inline constexpr index_t kRankScatterMaxNnz = 16;
 
 /// Which path accumulate_tile_values took, for the callers' counters.
 enum class AccumulatePath { kRankScatter, kRowKernel };
 
 /// Values of one C tile of `nnz_c` nonzeros into `slots` (capacity
-/// kTileNnzMax): step 3's accumulate.
+/// kTileNnzMax): step 3's plus-times accumulate; `masked` as the walk's
+/// kMasked. Above the cut, the row kernel multiplies whole B rows, so a
+/// masked product's entries outside the mask are computed there and
+/// dropped by the compress.
 template <class T>
 inline AccumulatePath accumulate_tile_values(const TileMatrix<T>& a, const TileMatrix<T>& b,
                                              const MatchedPair* pairs, std::size_t pair_count,
                                              const rowmask_t* mask_c,
                                              const std::uint8_t* row_ptr_c, index_t nnz_c,
-                                             T* slots, const simd::NumericOps& nops) {
+                                             bool masked, T* slots,
+                                             const simd::NumericOps& nops) {
   if (nnz_c <= kRankScatterMaxNnz) {
-    for (index_t k = 0; k < nnz_c; ++k) slots[k] = T{};
-    accumulate_pairs_sparse(a, b, pairs, pair_count, mask_c, row_ptr_c, slots);
+    if (masked) {
+      accumulate_pairs_walk<PlusTimes<T>, true>(a, b, pairs, pair_count, mask_c, row_ptr_c,
+                                                nnz_c, slots);
+    } else {
+      accumulate_pairs_walk<PlusTimes<T>, false>(a, b, pairs, pair_count, mask_c, row_ptr_c,
+                                                 nnz_c, slots);
+    }
     return AccumulatePath::kRankScatter;
   }
   accumulate_pairs_dense(a, b, pairs, pair_count, mask_c, slots, nops);

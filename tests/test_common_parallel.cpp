@@ -23,12 +23,6 @@ TEST(Parallel, ForEmptyRange) {
   EXPECT_EQ(calls, 0);
 }
 
-TEST(Parallel, ForWithGrainCoversRange) {
-  std::vector<std::atomic<int>> hits(1003);
-  parallel_for(0, 1003, [&](int i) { hits[static_cast<std::size_t>(i)]++; }, 64);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 TEST(Parallel, ForStaticCoversRange) {
   std::vector<std::atomic<int>> hits(777);
   parallel_for_static(0, 777, [&](int i) { hits[static_cast<std::size_t>(i)]++; });

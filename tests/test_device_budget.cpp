@@ -17,6 +17,7 @@
 #include "baselines/spa.h"
 #include "baselines/speck.h"
 #include "common/memory.h"
+#include "core/semiring_spgemm.h"
 #include "core/tile_spgemm.h"
 #include "gen/generators.h"
 #include "harness/runner.h"
@@ -188,6 +189,20 @@ TEST(DeviceBudget, DegradationDisabledReturnsBudgetExceeded) {
   try {
     (void)ctx.run(ta, ta);
     FAIL() << "run() should throw under a too-small budget with degradation off";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.status().code(), StatusCode::kBudgetExceeded);
+  }
+
+  // Masked (M = A's own pattern) and min-plus products plan the same budget.
+  Expected<TileMatrix<double>> masked = ctx.try_run_masked(ta, ta, ta);
+  ASSERT_FALSE(masked.ok());
+  EXPECT_EQ(masked.status().code(), StatusCode::kBudgetExceeded);
+  Expected<TileSpgemmResult<double>> min_plus = ctx.try_run_semiring<MinPlus<double>>(ta, ta);
+  ASSERT_FALSE(min_plus.ok());
+  EXPECT_EQ(min_plus.status().code(), StatusCode::kBudgetExceeded);
+  try {
+    (void)tile_spgemm_semiring<MinPlus<double>>(ctx, ta, ta);
+    FAIL() << "tile_spgemm_semiring should throw under a too-small budget with degradation off";
   } catch (const Error& e) {
     EXPECT_EQ(e.status().code(), StatusCode::kBudgetExceeded);
   }

@@ -1,16 +1,19 @@
 // Allocation fault injection: prove that an out-of-memory at *every*
-// tracked allocation site of a multiply surfaces as a clean
-// StatusCode::kAllocationFailed through try_run, leaks nothing (the
-// tracker's live count returns to its baseline), and leaves the context
-// reusable — the retry after clearing the plan must be bit-identical to an
-// undisturbed run. Runs single-threaded so the allocation order (and hence
-// FaultPlan::fail_at) is deterministic.
+// tracked allocation site of a multiply (plain, masked, min-plus, CSR)
+// surfaces as a clean StatusCode::kAllocationFailed through its try_
+// entry point, leaks nothing (the tracker's live count returns to its
+// baseline), and leaves the context reusable — the retry after clearing
+// the plan must be bit-identical to an undisturbed run. Runs
+// single-threaded so the allocation order (and hence FaultPlan::fail_at)
+// is deterministic.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <utility>
 
 #include "common/memory.h"
+#include "core/semiring.h"
 #include "core/spgemm_context.h"
 #include "matrix/convert.h"
 #include "test_support.h"
@@ -34,69 +37,82 @@ void expect_bit_identical(const TileMatrix<double>& x, const TileMatrix<double>&
   }
 }
 
-/// Tracked allocations of one multiply through a fresh context, counted
-/// with a plan that can never trip (fail_at beyond any real count).
-std::uint64_t count_allocations(const TileMatrix<double>& ta, const TileMatrix<double>& tb) {
-  FaultPlan plan;
-  plan.fail_at = ~std::uint64_t{0};
-  FaultInjectionScope scope(plan);
-  SpgemmContext ctx(config());
-  EXPECT_TRUE(ctx.try_run(ta, tb).ok());
-  return MemoryTracker::instance().tracked_allocs();
+/// One multiply through `ctx`: the tile-layout C, or the call's Status.
+using Multiply = std::function<Expected<TileMatrix<double>>(SpgemmContext&)>;
+
+/// The C of a try_run-shaped call, or its Status.
+Expected<TileMatrix<double>> product_of(Expected<TileSpgemmResult<double>> run) {
+  if (!run.ok()) return run.status();
+  return std::move(run->c);
 }
 
-TEST(FaultInjection, EveryAllocationSiteSurfacesAsStatus) {
-  const Csr<double> a = test::make_rmat_small();
-  const TileMatrix<double> ta = csr_to_tile(a);
-
+/// Fail allocation n of `multiply` for every n until the run is clean. A
+/// fresh context per n restarts the allocation sequence from zero, so the
+/// sweep visits every site exactly once. At each site the call must return
+/// kAllocationFailed, a retry on the same context must be bit-identical to
+/// an undisturbed run, and once the context and both results are gone the
+/// tracker must be back at its pre-iteration count.
+void sweep_allocation_sites(const char* what, const Multiply& multiply) {
+  SCOPED_TRACE(what);
   SpgemmContext golden_ctx(config());
-  const TileSpgemmResult<double> golden = golden_ctx.run(ta, ta);
+  const Expected<TileMatrix<double>> golden = multiply(golden_ctx);
+  ASSERT_TRUE(golden.ok()) << golden.status().to_string();
 
-  const std::uint64_t total = count_allocations(ta, ta);
+  // Tracked allocations of one multiply through a fresh context, counted
+  // with a plan that can never trip (fail_at beyond any real count).
+  std::uint64_t total = 0;
+  {
+    FaultPlan plan;
+    plan.fail_at = ~std::uint64_t{0};
+    FaultInjectionScope scope(plan);
+    SpgemmContext ctx(config());
+    ASSERT_TRUE(multiply(ctx).ok());
+    total = MemoryTracker::instance().tracked_allocs();
+  }
   ASSERT_GT(total, 0u);
 
-  // Sweep: fail allocation n for every n until the run is clean. A fresh
-  // context per n restarts the allocation sequence from zero, so the sweep
-  // visits every site exactly once.
   std::uint64_t injected_failures = 0;
   for (std::uint64_t n = 1; n <= total; ++n) {
     const std::int64_t live_before = MemoryTracker::instance().current();
-
-    SpgemmContext ctx(config());
-    FaultPlan plan;
-    plan.fail_at = n;
-    Expected<TileSpgemmResult<double>> result = [&] {
-      FaultInjectionScope faults(plan);
-      return ctx.try_run(ta, ta);
-    }();
-
-    if (result.ok()) {
-      // The pooled workspace shrinks the per-run allocation count only when
-      // capacity survives — with a fresh context it cannot, so every n up
-      // to the counted total must actually trip.
-      expect_bit_identical(golden.c, result->c);
-      continue;
+    {
+      SpgemmContext ctx(config());
+      FaultPlan plan;
+      plan.fail_at = n;
+      const Expected<TileMatrix<double>> result = [&] {
+        FaultInjectionScope faults(plan);
+        return multiply(ctx);
+      }();
+      if (result.ok()) {
+        // The pooled workspace shrinks the per-run allocation count only
+        // when capacity survives — with a fresh context it cannot, so every
+        // n up to the counted total must actually trip.
+        expect_bit_identical(*golden, *result);
+      } else {
+        ++injected_failures;
+        EXPECT_EQ(result.status().code(), StatusCode::kAllocationFailed)
+            << "site " << n << ": " << result.status().to_string();
+        // Injection cleared: the same context completes the multiply.
+        const Expected<TileMatrix<double>> retry = multiply(ctx);
+        ASSERT_TRUE(retry.ok()) << "context not reusable after injected fault at site " << n;
+        expect_bit_identical(*golden, *retry);
+      }
     }
-    ++injected_failures;
-    EXPECT_EQ(result.status().code(), StatusCode::kAllocationFailed)
-        << "site " << n << ": " << result.status().to_string();
-
-    // Clean Status, no leak: everything the aborted run allocated must have
-    // been released once the failed call returned (the output died with the
-    // Expected, the pool dies with the context below).
-    Expected<TileSpgemmResult<double>> retry = ctx.try_run(ta, ta);
-    ASSERT_TRUE(retry.ok()) << "context not reusable after injected fault at site " << n;
-    expect_bit_identical(golden.c, retry->c);
-
-    // Context (and its pool) destroyed at scope exit; the tracker must be
-    // back to the pre-iteration baseline next loop.
-    (void)live_before;
+    EXPECT_EQ(MemoryTracker::instance().current(), live_before) << "site " << n;
   }
   EXPECT_GT(injected_failures, 0u);
+}
 
-  // No cumulative leak across the whole sweep: only the golden context and
-  // result remain alive.
-  SUCCEED() << "swept " << total << " sites, " << injected_failures << " injected failures";
+TEST(FaultInjection, EveryAllocationSiteSurfacesAsStatus) {
+  // Plain, masked (M = A's own pattern) and min-plus products all run the
+  // one pipeline, so each must unwind every site the same way.
+  const TileMatrix<double> ta = csr_to_tile(test::make_rmat_small());
+  sweep_allocation_sites("plain",
+                         [&](SpgemmContext& ctx) { return product_of(ctx.try_run(ta, ta)); });
+  sweep_allocation_sites("masked",
+                         [&](SpgemmContext& ctx) { return ctx.try_run_masked(ta, ta, ta); });
+  sweep_allocation_sites("min-plus", [&](SpgemmContext& ctx) {
+    return product_of(ctx.try_run_semiring<MinPlus<double>>(ta, ta));
+  });
 }
 
 TEST(FaultInjection, EveryCsrRunAllocationSiteSurfacesAsStatus) {

@@ -1,6 +1,7 @@
 // A/B bit-identity contracts for the hot-path kernels: the default
 // dispatch level's step-2 symbolic kernel vs the scalar reference level,
-// and chunked execution under a 1 MB device budget vs a roomy single shot.
+// and chunked execution under a 1 MB device budget vs a roomy single shot,
+// for plain, masked and min-plus products alike (they run one pipeline).
 // "Bit-identical" means every array of the produced TileMatrix — structure
 // and values — compares equal byte-for-byte; the optimisations only
 // reorder *reads*, never the accumulation order.
@@ -8,14 +9,18 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/memory.h"
 #include "common/random.h"
+#include "core/semiring_spgemm.h"
 #include "core/spgemm_context.h"
 #include "core/tile_convert.h"
 #include "core/tile_spgemm.h"
 #include "gen/generators.h"
 #include "matrix/convert.h"
+#include "obs/metrics.h"
 #include "test_support.h"
 
 namespace tsg {
@@ -61,6 +66,82 @@ Csr<double> fuzz_matrix(std::uint64_t seed) {
   }
 }
 
+/// A's pattern plus, in every row i, column (i + offset) mod n: with A
+/// banded far narrower than `offset`, A*A reaches none of the stripe's
+/// tiles, so a product masked by it has empty C tiles.
+Csr<double> pattern_plus_stripe(const Csr<double>& a, index_t offset) {
+  Coo<double> coo;
+  coo.rows = a.rows;
+  coo.cols = a.cols;
+  for (index_t i = 0; i < a.rows; ++i) {
+    for (offset_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
+      coo.push_back(i, a.col_idx[k], 1.0);
+    }
+    coo.push_back(i, (i + offset) % a.cols, 1.0);
+  }
+  return coo_to_csr(std::move(coo));
+}
+
+/// A product of A with itself, masked by M.
+struct MaskedCase {
+  std::string name;
+  Csr<double> a;
+  Csr<double> mask;
+};
+
+/// The two mask shapes the masked pipeline must get right: tiles of M that
+/// the product misses (C keeps them, empty), and C tiles above the
+/// rank-walk cut of 16 nonzeros whose products partly fall outside M (the
+/// row kernel computes them and the compress drops them). Large enough
+/// that a 1 MB budget chunks both.
+std::vector<MaskedCase> masked_cases() {
+  const Csr<double> narrow = gen::banded(3000, 3, 9401);
+  const Csr<double> wide = gen::banded(2000, 20, 9402);
+  return {{"mask_misses_tiles", narrow, pattern_plus_stripe(narrow, 1500)},
+          {"mask_cuts_dense_tiles", wide, wide}};
+}
+
+/// In a masked C against the unmasked C of the same product: the masked
+/// C's empty tiles, and its tiles above 16 nonzeros that the mask cut.
+struct MaskShape {
+  int empty = 0;
+  int cut_above_16 = 0;
+};
+
+MaskShape mask_shape(const TileMatrix<double>& masked, const TileMatrix<double>& plain) {
+  MaskShape shape;
+  for (index_t tr = 0; tr < masked.tile_rows; ++tr) {
+    offset_t p = plain.tile_ptr[tr];
+    for (offset_t t = masked.tile_ptr[tr]; t < masked.tile_ptr[tr + 1]; ++t) {
+      const index_t nnz = masked.tile_nnz_of(t);
+      if (nnz == 0) ++shape.empty;
+      while (p < plain.tile_ptr[tr + 1] && plain.tile_col_idx[p] < masked.tile_col_idx[t]) ++p;
+      if (nnz > 16 && p < plain.tile_ptr[tr + 1] &&
+          plain.tile_col_idx[p] == masked.tile_col_idx[t] && plain.tile_nnz_of(p) > nnz) {
+        ++shape.cut_above_16;
+      }
+    }
+  }
+  return shape;
+}
+
+/// The plain, masked (by `mask`) and min-plus products of A with itself.
+struct Products {
+  TileMatrix<double> plain, masked, min_plus;
+};
+
+Products products_of(SpgemmContext& ctx, const TileMatrix<double>& a,
+                     const TileMatrix<double>& mask) {
+  return {ctx.run(a, a).c, ctx.run_masked(a, a, mask),
+          tile_spgemm_semiring<MinPlus<double>>(ctx, a, a)};
+}
+
+void expect_products_identical(const Products& x, const Products& y, const std::string& context) {
+  expect_tiles_identical(x.plain, y.plain, context + " plain");
+  expect_tiles_identical(x.masked, y.masked, context + " masked");
+  expect_tiles_identical(x.min_plus, y.min_plus, context + " min-plus");
+}
+
 // ---------------------------------------- default level vs scalar oracle --
 
 /// The scalar reference level; a default Config runs the best available
@@ -91,10 +172,24 @@ TEST(SymbolicAb, StructureClassesMatchBitExact) {
   };
   SpgemmContext scalar(scalar_config());
   SpgemmContext dflt;
+  // Masked by the operand's own pattern: the default level's step 2 ANDs M
+  // into its packed words, the scalar oracle row by row.
   for (const test::GenCase& gc : cases) {
     const TileMatrix<double> t = csr_to_tile(gc.make());
-    expect_tiles_identical(scalar.run(t, t).c, dflt.run(t, t).c, gc.name);
+    expect_products_identical(products_of(scalar, t, t), products_of(dflt, t, t), gc.name);
   }
+  MaskShape covered;
+  for (const MaskedCase& mc : masked_cases()) {
+    const TileMatrix<double> t = csr_to_tile(mc.a);
+    const TileMatrix<double> m = csr_to_tile(mc.mask);
+    const Products want = products_of(scalar, t, m);
+    expect_products_identical(want, products_of(dflt, t, m), mc.name);
+    const MaskShape shape = mask_shape(want.masked, want.plain);
+    covered.empty += shape.empty;
+    covered.cut_above_16 += shape.cut_above_16;
+  }
+  EXPECT_GT(covered.empty, 0) << "no masked case leaves a C tile empty";
+  EXPECT_GT(covered.cut_above_16, 0) << "no masked case cuts a C tile above 16 nonzeros";
 }
 
 TEST(SymbolicAb, DefaultLevelStillMatchesReferenceProduct) {
@@ -115,14 +210,38 @@ struct BudgetOverrideGuard {
 
 TEST(ChunkedAb, FuzzStaysBitExact) {
   BudgetOverrideGuard guard;
+  std::vector<MaskedCase> cases;
   for (int seed = 0; seed < 8; ++seed) {
-    const TileMatrix<double> t =
-        csr_to_tile(fuzz_matrix(static_cast<std::uint64_t>(seed) + 7000));
-    SpgemmContext roomy(SpgemmContext::Config{}.with_device_mem_mb(4096));
-    const TileMatrix<double> gold = roomy.run(t, t).c;
-    SpgemmContext squeezed(SpgemmContext::Config{}.with_device_mem_mb(1));
-    expect_tiles_identical(gold, squeezed.run(t, t).c, "seed " + std::to_string(seed));
+    const Csr<double> a = fuzz_matrix(static_cast<std::uint64_t>(seed) + 7000);
+    cases.push_back({"seed " + std::to_string(seed), a, a});
   }
+  for (MaskedCase& mc : masked_cases()) cases.push_back(std::move(mc));
+
+  // A masked call returns only C, so its chunking shows in the degraded-run
+  // counter; the semiring call's timings show their own.
+  const obs::Counter& degraded = obs::MetricsRegistry::instance().counter("spgemm.runs.degraded");
+  int chunked_masked = 0;
+  int chunked_min_plus = 0;
+  for (const MaskedCase& mc : cases) {
+    const TileMatrix<double> t = csr_to_tile(mc.a);
+    const TileMatrix<double> m = csr_to_tile(mc.mask);
+    // The budget is process-wide and set when a context is built, so each
+    // context runs everything it needs before the next one is built.
+    SpgemmContext roomy(SpgemmContext::Config{}.with_device_mem_mb(4096));
+    const Products gold = products_of(roomy, t, m);
+    SpgemmContext squeezed(SpgemmContext::Config{}.with_device_mem_mb(1));
+    Products got{squeezed.run(t, t).c, {}, {}};
+    const std::int64_t degraded_plain = degraded.value();
+    got.masked = squeezed.run_masked(t, t, m);
+    if (degraded.value() > degraded_plain) ++chunked_masked;
+    Expected<TileSpgemmResult<double>> min_plus = squeezed.try_run_semiring<MinPlus<double>>(t, t);
+    ASSERT_TRUE(min_plus.ok()) << mc.name << ": " << min_plus.status().to_string();
+    if (min_plus->timings.chunks >= 2) ++chunked_min_plus;
+    got.min_plus = std::move(min_plus->c);
+    expect_products_identical(gold, got, mc.name);
+  }
+  EXPECT_GT(chunked_masked, 0) << "1 MB chunked no masked case";
+  EXPECT_GT(chunked_min_plus, 0) << "1 MB chunked no min-plus case";
 }
 
 }  // namespace
