@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   SpgemmContext ctx;
   for (int i = 0; i < kIters; ++i) {
     const std::int64_t before = tracker.allocated_total();
-    const TileSpgemmResult<double> res = ctx.run(ta, ta);
+    const TileSpgemmResult<double> res = ctx.try_run(Request<TileMatrix<double>>{&ta, &ta}).value();
     reused_it[i].alloc_mb =
         static_cast<double>(tracker.allocated_total() - before) / (1024.0 * 1024.0);
     reused_it[i].t = res.timings;

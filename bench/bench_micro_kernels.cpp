@@ -24,6 +24,7 @@
 #include "common/random.h"
 #include "core/intersect.h"
 #include "core/simd_dispatch.h"
+#include "core/spgemm_context.h"
 #include "core/tile_add.h"
 #include "core/tile_convert.h"
 #include "core/tile_spgemm.h"
@@ -254,10 +255,11 @@ void BM_SimdLevel(benchmark::State& state) {
   }
   const Csr<double> a = gen::dense_blocks(48, 16, 89);
   const TileMatrix<double> t = csr_to_tile(a);
-  TileSpgemmOptions opt;
-  opt.simd = level;
+  const SpgemmContext::Config cfg = SpgemmContext::Config{}.with_simd_level(level);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tile_spgemm(t, t, opt).c.nnz());
+    SpgemmContext ctx(cfg);
+    benchmark::DoNotOptimize(
+        ctx.try_run(Request<TileMatrix<double>>{&t, &t}).value().c.nnz());
   }
   state.SetLabel(simd::level_name(level));
 }

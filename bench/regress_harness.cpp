@@ -118,10 +118,11 @@ std::vector<StepMedians> measure_interleaved(const std::vector<SpgemmContext*>& 
                                              const TileMatrix<double>& t, int reps) {
   const std::size_t n = ctxs.size();
   std::vector<std::vector<double>> s2(n), s3(n), core(n);
-  for (SpgemmContext* ctx : ctxs) (void)ctx->run(t, t);  // warmup: grow the pools
+  const Request<TileMatrix<double>> square{&t, &t};
+  for (SpgemmContext* ctx : ctxs) (void)ctx->try_run(square).value();  // warmup: grow the pools
   for (int r = 0; r < reps; ++r) {
     for (std::size_t c = 0; c < n; ++c) {
-      const TileSpgemmResult<double> res = ctxs[c]->run(t, t);
+      const TileSpgemmResult<double> res = ctxs[c]->try_run(square).value();
       s2[c].push_back(res.timings.step2_ms);
       s3[c].push_back(res.timings.step3_ms);
       core[c].push_back(res.timings.core_ms());

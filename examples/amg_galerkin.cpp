@@ -51,9 +51,10 @@ int main() {
     // The Galerkin product: two SpGEMMs. The paper's point: operands and
     // results stay in the tiled format across the chain, so conversion is
     // paid once per level, not per product.
-    TileSpgemmTimings t_ap, t_rap;
-    const Csr<double> ap = ctx.run_csr(a, p, &t_ap);
-    const Csr<double> a_coarse = ctx.run_csr(r, ap, &t_rap);
+    const SpgemmResult<Csr<double>> ap = ctx.try_run(Request<Csr<double>>{&a, &p}).value();
+    const SpgemmResult<Csr<double>> rap =
+        ctx.try_run(Request<Csr<double>>{&r, &ap.c}).value();
+    const Csr<double>& a_coarse = rap.c;
 
     // Galerkin identity on the constant vector: since P*1 = 1,
     // (R*A*P)*1 = R*(A*1), i.e. each coarse row sum equals the sum of the
@@ -80,7 +81,7 @@ int main() {
     ++level;
     std::cout << "level " << level << ": n = " << a_coarse.rows
               << ", nnz = " << a_coarse.nnz()
-              << ", spgemm time " << t_ap.total_ms() + t_rap.total_ms() << " ms"
+              << ", spgemm time " << ap.timings.total_ms() + rap.timings.total_ms() << " ms"
               << ", Galerkin identity error " << max_err << "\n";
     if (max_err > 1e-8) {
       std::cerr << "Galerkin identity violated!\n";

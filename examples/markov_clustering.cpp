@@ -64,7 +64,7 @@ int main() {
   SpgemmContext ctx;
   for (int iter = 0; iter < 24; ++iter) {
     // Expansion: the SpGEMM at the heart of MCL.
-    Csr<double> expanded = ctx.run_csr(m, m);
+    Csr<double> expanded = ctx.try_run(Request<Csr<double>>{&m, &m}).value().c;
     // Inflation + pruning keep the matrix sparse and sharpen clusters.
     pow_inplace(expanded, inflation);
     normalize_columns_inplace(expanded);

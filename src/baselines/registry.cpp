@@ -57,7 +57,7 @@ SpgemmAlgorithm make_tile_algorithm() {
       PeakMemoryScope mem;  // resets the tracker; the gauge reads the peak back
       SpgemmContext ctx;
       Timer t;
-      TileSpgemmResult<double> res = ctx.run(ta, tb);
+      TileSpgemmResult<double> res = ctx.try_run(Request<TileMatrix<double>>{&ta, &tb}).value();
       rep.core_ms = t.milliseconds();
       rep.peak_mb = registry_peak_mb();
       rep.chunks = res.timings.chunks;

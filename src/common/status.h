@@ -3,8 +3,8 @@
 // The library core reports failures as values instead of scattering
 // `throw std::runtime_error` / `assert` across the kernels: a `Status`
 // carries an error code plus a human-readable message, `Expected<T>` is
-// either a result or a non-ok Status, and `Error` is the exception the
-// throwing convenience wrappers (`run*()` vs `try_run*()`) raise so that
+// either a result or a non-ok Status, and `Error` is the exception
+// `Expected::value()` and the throwing convenience wrappers raise so that
 // exception-style callers keep working and still see the same code.
 //
 // Conventions:
@@ -119,7 +119,7 @@ class Error : public std::runtime_error {
 };
 
 /// A value or a non-ok Status. Deliberately tiny: exactly the surface the
-/// `try_run*` entry points need, not a full std::expected polyfill.
+/// `try_*` entry points need, not a full std::expected polyfill.
 template <class T>
 class [[nodiscard]] Expected {
  public:

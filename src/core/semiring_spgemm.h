@@ -1,7 +1,12 @@
-// Semiring-generic TileSpGEMM: the context's one pipeline (steps 1 and 2
-// are purely structural), with step 3's numeric pass instantiated for the
-// semiring's identity/combine/reduce (SpgemmContext::try_run_semiring,
-// step3.h).
+// Semiring-generic TileSpGEMM and SpMV. A semiring product is a Request
+// whose Semiring parameter is not plus-times:
+//
+//     ctx.try_run(Request<Csr<double>, MinPlus<double>>{&a, &b})
+//
+// runs the context's one pipeline (steps 1 and 2 are purely structural)
+// with step 3's numeric pass instantiated for the semiring's
+// identity/combine/reduce (step3.h), under the same contract as any other
+// request.
 //
 // Semantics note: the output structure is the *structural* product — an
 // entry exists wherever at least one (A_ik, B_kj) product lands, with value
@@ -11,7 +16,6 @@
 #pragma once
 
 #include <algorithm>
-#include <utility>
 
 #include "common/parallel.h"
 #include "core/semiring.h"
@@ -21,29 +25,14 @@
 
 namespace tsg {
 
-/// C = A (x) B over the given semiring through a reusable context: the
-/// throwing form of SpgemmContext::try_run_semiring (tsg::Error carries the
-/// Status).
+/// C = A (x) B over the given semiring through a reusable context, tile
+/// format in and out; throws tsg::Error carrying the Status. Kept only
+/// because the end-to-end benchmark (perfbench/) calls it; new code runs a
+/// Request.
 template <class Semiring, class T>
 TileMatrix<T> tile_spgemm_semiring(SpgemmContext& ctx, const TileMatrix<T>& a,
                                    const TileMatrix<T>& b) {
-  return std::move(ctx.try_run_semiring<Semiring>(a, b)).value().c;
-}
-
-/// C = A (x) B over the given semiring, tile format in and out (transient
-/// context).
-template <class Semiring, class T>
-TileMatrix<T> tile_spgemm_semiring(const TileMatrix<T>& a, const TileMatrix<T>& b,
-                                   const TileSpgemmOptions& options = {}) {
-  SpgemmContext ctx(SpgemmContext::Config{}.with_options(options));
-  return tile_spgemm_semiring<Semiring>(ctx, a, b);
-}
-
-/// CSR convenience wrapper.
-template <class Semiring, class T>
-Csr<T> spgemm_semiring(const Csr<T>& a, const Csr<T>& b,
-                       const TileSpgemmOptions& options = {}) {
-  return tile_to_csr(tile_spgemm_semiring<Semiring>(csr_to_tile(a), csr_to_tile(b), options));
+  return ctx.try_run(Request<TileMatrix<T>, Semiring>{&a, &b}).value().c;
 }
 
 /// Semiring SpMV on the tile format: y = A (x) x with a dense vector whose

@@ -121,7 +121,7 @@ Level clamp_to_available(Level requested);
 
 /// Process-wide default level: TSG_SIMD when set (parsed, validated,
 /// clamped, with one-time warnings on bad values), else detected_level().
-/// Cached on first use — TileSpgemmOptions defaults to this.
+/// Cached on first use — SpgemmContext::Config::simd defaults to this.
 Level active_level();
 
 /// Lower-case level name ("scalar", "swar", "avx2", "avx512").

@@ -11,6 +11,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -301,11 +302,6 @@ SpgemmContext::Config SpgemmContext::Config::from_env() {
   };
   if (truthy(std::getenv("TSG_TRACE"))) cfg.tracing = true;
   if (truthy(std::getenv("TSG_METRICS"))) cfg.metrics_detail = true;
-  // TSG_SIMD is already folded into the TileSpgemmOptions default through
-  // simd::active_level() (which parses, warns, and clamps once); re-assign
-  // here so a from_env() config stays explicit about where the level came
-  // from even if the options default ever changes.
-  cfg.options.simd = simd::active_level();
   return cfg;
 }
 
@@ -378,9 +374,10 @@ ExecutionPlan SpgemmContext::make_plan(const TileMatrix<T>& a, const TileLayoutC
 }
 
 template <class T>
-TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMatrix<T>& b,
-                                            const RunSpec<T>& spec) {
+TileSpgemmResult<T> SpgemmContext::run_impl(const TileRun<T>& run) {
   TSG_TRACE_SPAN("spgemm.run");
+  const TileMatrix<T>& a = run.a;
+  const TileMatrix<T>& b = run.b;
   std::optional<obs::MetricsSnapshot> before;
   if (obs::metrics_detail_enabled()) {
     before.emplace(obs::MetricsRegistry::instance().snapshot());
@@ -395,9 +392,7 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
 
   TileSpgemmResult<T> result;
   TileSpgemmTimings& tm = result.timings;
-  tm.convert_ms = pending_convert_ms_;
-  pending_convert_ms_ = 0.0;
-  tm.simd_level = static_cast<int>(effective_simd_level(cfg_.options));
+  tm.simd_level = static_cast<int>(run.level);
 
   // Column-major view of B's tile layout, needed by the step-2/3
   // intersections; building it is allocation/bookkeeping, not algorithm.
@@ -411,8 +406,8 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
   {
     ScopedAccumulator scope(tm.step1_ms);
     TSG_TRACE_SPAN("step1");
-    if (spec.mask != nullptr) {
-      mask_tile_structure(a, b, *spec.mask, ws);
+    if (run.mask != nullptr) {
+      mask_tile_structure(a, b, *run.mask, ws);
     } else {
       step1_tile_structure(a, b, ws, ws.structure);
     }
@@ -429,7 +424,7 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
   // re-unbind them), so the fixed share plan_budget reads from ws.bytes()
   // counts them.
   ws.reset_row_index(a.tile_cols);
-  Csr<T>* const csr = spec.csr;
+  Csr<T>* const csr = run.csr;
   BudgetPlan budget;
   {
     ScopedAccumulator scope(tm.plan_ms);
@@ -445,19 +440,19 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
   }
 
   if (budget.limited) {
-    run_chunked(a, b, spec, budget.chunks, ws, result);
+    run_chunked(run, budget.chunks, ws, result);
     tm.chunks = static_cast<int>(budget.chunks.size());
   } else {
     // Cost model + binned schedule (plan_ms).
     ExecutionPlan plan = make_plan(a, ws.b_csc, ws.structure, ws, tm);
-    if (spec.mask != nullptr) plan.mask = spec.mask->mask.data();
+    if (run.mask != nullptr) plan.mask = run.mask->mask.data();
 
     // Step 2: per-tile symbolic -> nnz, row pointers, masks.
     Step2Result symbolic;
     {
       ScopedAccumulator scope(tm.step2_ms);
       TSG_TRACE_SPAN("step2", ws.structure.num_tiles());
-      symbolic = step2_symbolic(a, b, ws.b_csc, ws.structure, cfg_.options, ws, plan);
+      symbolic = step2_symbolic(a, b, ws.b_csc, ws.structure, run.level, ws, plan);
     }
     // Stage boundary: a tile skipped by a tripped token left a hole in the
     // symbolic result — bail out before C is allocated from it.
@@ -477,7 +472,7 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
     {
       ScopedAccumulator scope(tm.step3_ms);
       TSG_TRACE_SPAN("step3", ws.structure.num_tiles());
-      spec.numeric(a, b, ws.b_csc, ws.structure, cfg_.options, symbolic, ws, plan, out);
+      run.numeric(a, b, ws.b_csc, ws.structure, run.level, symbolic, ws, plan, out);
     }
     // Stage boundary: values of skipped tiles were never written — the
     // partial C must not be returned as a result.
@@ -504,11 +499,12 @@ TileSpgemmResult<T> SpgemmContext::run_impl(const TileMatrix<T>& a, const TileMa
 }
 
 template <class T>
-void SpgemmContext::run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
-                                const RunSpec<T>& spec,
+void SpgemmContext::run_chunked(const TileRun<T>& run,
                                 const std::vector<std::pair<index_t, index_t>>& chunks,
                                 SpgemmWorkspace<T>& ws, TileSpgemmResult<T>& result) {
-  Csr<T>* const csr = spec.csr;
+  const TileMatrix<T>& a = run.a;
+  const TileMatrix<T>& b = run.b;
+  Csr<T>* const csr = run.csr;
   const TileStructure& st = ws.structure;
   TileSpgemmTimings& tm = result.timings;
   TileMatrix<T>& c = result.c;
@@ -562,13 +558,13 @@ void SpgemmContext::run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
 
     ExecutionPlan plan = make_plan(a, ws.b_csc, chunk_st, ws, tm);
     // The chunk's tiles are M's tiles [tlo, thi) of a masked product.
-    if (spec.mask != nullptr) plan.mask = spec.mask->mask.data() + tlo * kTileDim;
+    if (run.mask != nullptr) plan.mask = run.mask->mask.data() + tlo * kTileDim;
 
     Step2Result symbolic;
     {
       ScopedAccumulator scope(tm.step2_ms);
       TSG_TRACE_SPAN("step2", chunk_st.num_tiles());
-      symbolic = step2_symbolic(a, b, ws.b_csc, chunk_st, cfg_.options, ws, plan);
+      symbolic = step2_symbolic(a, b, ws.b_csc, chunk_st, run.level, ws, plan);
     }
     check_cancelled();  // don't allocate this chunk's slice from a hole
 
@@ -581,7 +577,7 @@ void SpgemmContext::run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
     {
       ScopedAccumulator scope(tm.step3_ms);
       TSG_TRACE_SPAN("step3", chunk_st.num_tiles());
-      spec.numeric(a, b, ws.b_csc, chunk_st, cfg_.options, symbolic, ws, plan, out);
+      run.numeric(a, b, ws.b_csc, chunk_st, run.level, symbolic, ws, plan, out);
     }
     check_cancelled();  // don't stitch a chunk whose values have holes
     if (csr != nullptr) continue;
@@ -604,193 +600,109 @@ void SpgemmContext::run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b,
   }
 }
 
+namespace {
+
+/// An operand's validation in the form the caller passed it.
 template <class T>
-Expected<TileSpgemmResult<T>> SpgemmContext::try_run_into(const TileMatrix<T>& a,
-                                                          const TileMatrix<T>& b,
-                                                          const RunSpec<T>& spec) {
+Status validate_operand(const TileMatrix<T>& m, const char* name,
+                        const SpgemmContext::Config& cfg) {
+  return validate_tile_operand(m, name, cfg.validation, cfg.nan_policy);
+}
+template <class T>
+Status validate_operand(const Csr<T>& m, const char* name, const SpgemmContext::Config& cfg) {
+  return validate_csr_operand(m, name, cfg.validation, cfg.nan_policy);
+}
+
+}  // namespace
+
+template <class Matrix>
+Expected<SpgemmResult<Matrix>> SpgemmContext::run_request(
+    const Matrix* a, const Matrix* b, const Matrix* mask, bool transpose_b,
+    Step3Fn<typename Matrix::value_type> numeric) {
+  using T = typename Matrix::value_type;
+  constexpr bool kCsr = std::is_same_v<Matrix, Csr<T>>;
   const ThreadScope threads(*this);
-  if (a.cols != b.rows) {
-    return Status::dimension_mismatch("spgemm: inner dimensions differ (A is " +
-                                      std::to_string(a.rows) + "x" + std::to_string(a.cols) +
-                                      ", B is " + std::to_string(b.rows) + "x" +
-                                      std::to_string(b.cols) + ")");
-  }
-  const TileMatrix<T>* const mask = spec.mask;
-  if (mask != nullptr && (mask->rows != a.rows || mask->cols != b.cols)) {
-    return Status::dimension_mismatch("masked spgemm: mask shape does not match A*B");
-  }
-  // An aliased operand is checked once.
-  if (Status s = validate_tile_operand(a, "A", cfg_.validation, cfg_.nan_policy); !s.ok()) {
-    return s;
-  }
-  if (&b != &a) {
-    if (Status s = validate_tile_operand(b, "B", cfg_.validation, cfg_.nan_policy); !s.ok()) {
-      return s;
-    }
-  }
-  if (mask != nullptr && mask != &a && mask != &b) {
-    if (Status s = validate_tile_operand(*mask, "mask", cfg_.validation, cfg_.nan_policy);
-        !s.ok()) {
-      return s;
-    }
-  }
   try {
-    return run_impl(a, b, spec);
+    if (a == nullptr || b == nullptr) {
+      return Status::invalid_argument("spgemm: the request names no A or no B");
+    }
+    const index_t b_rows = transpose_b ? b->cols : b->rows;
+    const index_t b_cols = transpose_b ? b->rows : b->cols;
+    if (a->cols != b_rows) {
+      return Status::dimension_mismatch(
+          "spgemm: inner dimensions differ (A is " + std::to_string(a->rows) + "x" +
+          std::to_string(a->cols) + ", B" + (transpose_b ? "^T" : "") + " is " +
+          std::to_string(b_rows) + "x" + std::to_string(b_cols) + ")");
+    }
+    if (mask != nullptr && (mask->rows != a->rows || mask->cols != b_cols)) {
+      return Status::dimension_mismatch("masked spgemm: mask shape does not match A*B");
+    }
+    // Each distinct operand is validated once, before anything reads it.
+    if (Status s = validate_operand(*a, "A", cfg_); !s.ok()) return s;
+    if (b != a) {
+      if (Status s = validate_operand(*b, "B", cfg_); !s.ok()) return s;
+    }
+    if (mask != nullptr && mask != a && mask != b) {
+      if (Status s = validate_operand(*mask, "mask", cfg_); !s.ok()) return s;
+    }
+
+    // The tile forms the pipeline reads: the caller's own, or one
+    // conversion per distinct CSR operand.
+    SpgemmResult<Matrix> out;
+    double convert_ms = 0.0;
+    double transpose_ms = 0.0;
+    std::optional<TileMatrix<T>> ta, tb, tm, bt;
+    const TileMatrix<T>* pa = nullptr;
+    const TileMatrix<T>* pb = nullptr;
+    const TileMatrix<T>* pm = nullptr;
+    if constexpr (kCsr) {
+      ScopedAccumulator scope(convert_ms);
+      pa = &ta.emplace(csr_to_tile(*a));
+      pb = b == a ? pa : &tb.emplace(csr_to_tile(*b));
+      if (mask != nullptr) {
+        pm = mask == a ? pa : mask == b ? pb : &tm.emplace(csr_to_tile(*mask));
+      }
+    } else {
+      pa = a;
+      pb = b;
+      pm = mask;
+    }
+    if (transpose_b) {
+      // Transposition is data movement, not multiplication: book it with
+      // the allocation share like the layout view.
+      ScopedAccumulator scope(transpose_ms);
+      pb = &bt.emplace(tile_transpose(*pb));
+    }
+
+    Csr<T>* csr = nullptr;
+    if constexpr (kCsr) csr = &out.c;
+    TileSpgemmResult<T> result =
+        run_impl(TileRun<T>{*pa, *pb, pm, numeric, simd::clamp_to_available(cfg_.simd), csr});
+    if constexpr (!kCsr) out.c = std::move(result.c);
+    out.timings = std::move(result.timings);
+    out.timings.convert_ms = convert_ms;
+    out.timings.alloc_ms += transpose_ms;
+    return out;
   } catch (const Error& e) {
     return e.status();
   } catch (const std::bad_alloc&) {
     return Status::allocation_failed(
         "spgemm: a tracked allocation failed mid-run (real or injected); the context remains "
         "reusable");
+  } catch (const std::exception& e) {
+    return Status::allocation_failed(std::string("spgemm: ") + e.what());
   }
 }
 
-template <class T>
-Expected<TileSpgemmResult<T>> SpgemmContext::try_run(const TileMatrix<T>& a,
-                                                     const TileMatrix<T>& b) {
-  return try_run_into(a, b, RunSpec<T>{});
-}
-
-template <class T>
-TileSpgemmResult<T> SpgemmContext::run(const TileMatrix<T>& a, const TileMatrix<T>& b) {
-  return std::move(try_run(a, b)).value();
-}
-
-template <class T>
-Expected<TileSpgemmResult<T>> SpgemmContext::try_run_aat(const TileMatrix<T>& a) {
-  const ThreadScope threads(*this);
-  TileMatrix<T> at;
-  double transpose_ms = 0.0;
-  try {
-    // Transposition is data movement, not multiplication: book it with the
-    // allocation share like the layout view.
-    ScopedAccumulator scope(transpose_ms);
-    at = tile_transpose(a);
-  } catch (const std::bad_alloc&) {
-    return Status::allocation_failed("run_aat: allocation failed while forming A^T");
-  }
-  Expected<TileSpgemmResult<T>> product = try_run(a, at);
-  if (product.ok()) product->timings.alloc_ms += transpose_ms;
-  return product;
-}
-
-template <class T>
-TileSpgemmResult<T> SpgemmContext::run_aat(const TileMatrix<T>& a) {
-  return std::move(try_run_aat(a)).value();
-}
-
-template <class T>
-TileMatrix<T> SpgemmContext::to_tile(const Csr<T>& m) {
-  const ThreadScope threads(*this);
-  Timer timer;
-  TileMatrix<T> tile = csr_to_tile(m);
-  pending_convert_ms_ += timer.milliseconds();
-  return tile;
-}
-
-template <class T>
-Expected<Csr<T>> SpgemmContext::try_run_csr(const Csr<T>& a, const Csr<T>& b,
-                                            TileSpgemmTimings* timings) {
-  const ThreadScope threads(*this);
-  if (a.cols != b.rows) {
-    return Status::dimension_mismatch("spgemm: inner dimensions differ (A is " +
-                                      std::to_string(a.rows) + "x" + std::to_string(a.cols) +
-                                      ", B is " + std::to_string(b.rows) + "x" +
-                                      std::to_string(b.cols) + ")");
-  }
-  if (Status s = validate_csr_operand(a, "A", cfg_.validation, cfg_.nan_policy); !s.ok()) {
-    return s;
-  }
-  if (&a != &b) {
-    if (Status s = validate_csr_operand(b, "B", cfg_.validation, cfg_.nan_policy); !s.ok()) {
-      return s;
-    }
-  }
-  try {
-    const TileMatrix<T> ta = to_tile(a);
-    // Aliased operands (C = A*A) convert once.
-    std::optional<TileMatrix<T>> tb;
-    if (&a != &b) tb.emplace(to_tile(b));
-    // C comes back in CSR directly: step 3 writes its rows, so there is no
-    // tile-layout C to convert back.
-    Csr<T> c;
-    RunSpec<T> spec;
-    spec.csr = &c;
-    Expected<TileSpgemmResult<T>> result = try_run_into(ta, tb ? *tb : ta, spec);
-    if (!result.ok()) {
-      pending_convert_ms_ = 0.0;  // the failed run consumed nothing; don't charge the next one
-      return result.status();
-    }
-    if (timings != nullptr) *timings = result->timings;
-    return c;
-  } catch (const std::bad_alloc&) {
-    pending_convert_ms_ = 0.0;
-    return Status::allocation_failed("run_csr: allocation failed during CSR->tile conversion");
-  } catch (const Error& e) {
-    pending_convert_ms_ = 0.0;
-    return e.status();
-  }
-}
-
-template <class T>
-Csr<T> SpgemmContext::run_csr(const Csr<T>& a, const Csr<T>& b, TileSpgemmTimings* timings) {
-  return std::move(try_run_csr(a, b, timings)).value();
-}
-
-template <class T>
-Expected<TileMatrix<T>> SpgemmContext::try_run_masked(const TileMatrix<T>& a,
-                                                      const TileMatrix<T>& b,
-                                                      const TileMatrix<T>& mask) {
-  RunSpec<T> spec;
-  spec.mask = &mask;
-  Expected<TileSpgemmResult<T>> product = try_run_into(a, b, spec);
-  if (!product.ok()) return product.status();
-  return std::move(product->c);
-}
-
-template <class T>
-TileMatrix<T> SpgemmContext::run_masked(const TileMatrix<T>& a, const TileMatrix<T>& b,
-                                        const TileMatrix<T>& mask) {
-  return std::move(try_run_masked(a, b, mask)).value();
-}
-
-template Expected<TileSpgemmResult<double>> SpgemmContext::try_run(const TileMatrix<double>&,
-                                                                  const TileMatrix<double>&);
-template Expected<TileSpgemmResult<float>> SpgemmContext::try_run(const TileMatrix<float>&,
-                                                                 const TileMatrix<float>&);
-template TileSpgemmResult<double> SpgemmContext::run(const TileMatrix<double>&,
-                                                     const TileMatrix<double>&);
-template TileSpgemmResult<float> SpgemmContext::run(const TileMatrix<float>&,
-                                                    const TileMatrix<float>&);
-template Expected<TileSpgemmResult<double>> SpgemmContext::try_run_aat(const TileMatrix<double>&);
-template Expected<TileSpgemmResult<float>> SpgemmContext::try_run_aat(const TileMatrix<float>&);
-template TileSpgemmResult<double> SpgemmContext::run_aat(const TileMatrix<double>&);
-template TileSpgemmResult<float> SpgemmContext::run_aat(const TileMatrix<float>&);
-template Expected<Csr<double>> SpgemmContext::try_run_csr(const Csr<double>&, const Csr<double>&,
-                                                          TileSpgemmTimings*);
-template Expected<Csr<float>> SpgemmContext::try_run_csr(const Csr<float>&, const Csr<float>&,
-                                                         TileSpgemmTimings*);
-template Csr<double> SpgemmContext::run_csr(const Csr<double>&, const Csr<double>&,
-                                            TileSpgemmTimings*);
-template Csr<float> SpgemmContext::run_csr(const Csr<float>&, const Csr<float>&,
-                                           TileSpgemmTimings*);
-template Expected<TileMatrix<double>> SpgemmContext::try_run_masked(const TileMatrix<double>&,
-                                                                    const TileMatrix<double>&,
-                                                                    const TileMatrix<double>&);
-template Expected<TileMatrix<float>> SpgemmContext::try_run_masked(const TileMatrix<float>&,
-                                                                   const TileMatrix<float>&,
-                                                                   const TileMatrix<float>&);
-template TileMatrix<double> SpgemmContext::run_masked(const TileMatrix<double>&,
-                                                      const TileMatrix<double>&,
-                                                      const TileMatrix<double>&);
-template TileMatrix<float> SpgemmContext::run_masked(const TileMatrix<float>&,
-                                                     const TileMatrix<float>&,
-                                                     const TileMatrix<float>&);
-template TileMatrix<double> SpgemmContext::to_tile(const Csr<double>&);
-template TileMatrix<float> SpgemmContext::to_tile(const Csr<float>&);
-template Expected<TileSpgemmResult<double>> SpgemmContext::try_run_into(
-    const TileMatrix<double>&, const TileMatrix<double>&, const RunSpec<double>&);
-template Expected<TileSpgemmResult<float>> SpgemmContext::try_run_into(
-    const TileMatrix<float>&, const TileMatrix<float>&, const RunSpec<float>&);
+template Expected<SpgemmResult<Csr<double>>> SpgemmContext::run_request(
+    const Csr<double>*, const Csr<double>*, const Csr<double>*, bool, Step3Fn<double>);
+template Expected<SpgemmResult<Csr<float>>> SpgemmContext::run_request(
+    const Csr<float>*, const Csr<float>*, const Csr<float>*, bool, Step3Fn<float>);
+template Expected<SpgemmResult<TileMatrix<double>>> SpgemmContext::run_request(
+    const TileMatrix<double>*, const TileMatrix<double>*, const TileMatrix<double>*, bool,
+    Step3Fn<double>);
+template Expected<SpgemmResult<TileMatrix<float>>> SpgemmContext::run_request(
+    const TileMatrix<float>*, const TileMatrix<float>*, const TileMatrix<float>*, bool,
+    Step3Fn<float>);
 
 }  // namespace tsg

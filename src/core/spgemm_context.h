@@ -2,40 +2,37 @@
 //
 // One context owns everything a multiply needs besides its operands and
 // output: pooled workspaces (per value type), the cost-binned tile
-// scheduler, and the configuration that used to be scattered across
-// TileSpgemmOptions defaults and ad-hoc environment parsing. Creating a
-// context is cheap; *reusing* one across the multiplies of an iterated
-// workload (AMG Galerkin chains, Markov clustering, GNN propagation) is
-// the point — after the first call the pooled buffers have their
-// steady-state capacity and subsequent iterations allocate little beyond
-// the output matrix itself.
+// scheduler, and the configuration (Config), the one home of every engine
+// knob. Creating a context is cheap; *reusing* one across the multiplies
+// of an iterated workload (AMG Galerkin chains, Markov clustering, GNN
+// propagation, APSP squaring) is the point — after the first call the
+// pooled buffers have their steady-state capacity and subsequent
+// iterations allocate little beyond the output matrix itself.
 //
 // Lifecycle:
 //
 //     Config::from_env() ── builder tweaks ──> SpgemmContext ctx(cfg)
-//           ctx.run(a, b)        tile in/out, timings + bin counters
-//           ctx.run_csr(a, b)    CSR in/out: inputs converted (convert_ms),
-//                                C written straight into CSR by step 3
-//           ctx.run_aat(a)       A * A^T, transpose formed tile-natively
-//           ctx.run_masked(...)  C = (A*B) .* structure(M)
-//           ctx.try_run_semiring<S>(a, b)   C = A (x) B over semiring S
+//           ctx.try_run(Request<Matrix, Semiring>{...})   every product
 //           ctx.workspace_bytes() / ctx.release_workspaces()
 //
-// All of them run one pipeline (try_run_into -> run_impl / run_chunked):
-// validation, the thread count, cancellation, the budget with chunked
-// degradation, the cost-binned plan, the dispatched step-2 kernels and the
-// run counters apply to each the same way. A masked product takes M's tile
-// structure where step 1 would run, and step 2 ANDs M's row masks into C's;
-// a semiring product swaps step 3's numeric pass (step3.h).
-//
-// Every run* entry point has a try_run* twin returning Expected<...>:
-// anticipated failures (bad operands, the modeled device budget with
-// degradation disabled, a tracked allocation failing — for real or via the
-// MemoryTracker fault plan) come back as a tsg::Status instead of an
-// exception, and the context remains reusable for the next call. The
-// classic run* names wrap the try_ variants and throw tsg::Error carrying
-// the same Status; try_run_semiring's throwing form is
-// tile_spgemm_semiring(ctx, a, b) in semiring_spgemm.h.
+// A Request names A, B (which may alias A) and an optional mask M, all CSR
+// or all tile, and may ask for A * B^T; its Semiring picks step 3's numeric
+// pass. C comes back in the operands' form, with the run's timings. try_run
+// applies one contract to every request, once, in this order:
+//   1. the context's thread count (ThreadScope);
+//   2. dimension checks;
+//   3. validation of each distinct operand, once, in the form the caller
+//      passed (Config::validation / nan_policy);
+//   4. CSR->tile conversion of each distinct CSR operand (convert_ms) and
+//      the tile-native transpose of B (alloc_ms);
+//   5. the pipeline (run_impl / run_chunked): cancellation, the budget with
+//      chunked degradation, the cost-binned plan, the dispatched step-2/3
+//      kernels at the level resolved once per run, and the run counters.
+// Every anticipated failure — a bad operand, the modeled device budget with
+// degradation disabled, a cancelled or expired token, a tracked allocation
+// failing (for real or via the MemoryTracker fault plan) — comes back as a
+// tsg::Status, and the context stays reusable. Callers that prefer an
+// exception call .value(), which throws tsg::Error carrying the Status.
 //
 // Budget enforcement (the paper's Fig. 9 robustness claim): after step 1
 // the context bounds the per-call device-side footprint — one constant
@@ -46,8 +43,8 @@
 // the final matrix. Results are bit-identical to the single-shot run;
 // TileSpgemmTimings::chunks / budget_limited report what happened.
 //
-// Output layout: the entry point fixes it, so there is no knob. Tile in
-// gives tile out. CSR in gives CSR out, and C is written once, in CSR: after
+// Output layout: the operands fix it, so there is no knob. Tile in gives
+// tile out. CSR in gives CSR out, and C is written once, in CSR: after
 // step 2 an offset pass turns C's row masks into CSR row pointers plus a
 // within-row offset per local row of each non-empty tile, and step 3 writes
 // column indices and values straight there. No tile-layout copy of C's
@@ -58,13 +55,12 @@
 // only C's symbolic arrays, and step 3 re-runs the set intersection rather
 // than reading matched pairs from a cache.
 //
-// The free functions tile_spgemm() / spgemm_tile() / tile_spgemm_aat() /
-// tile_spgemm_masked() / tile_spgemm_semiring() remain as thin wrappers
-// that create a transient context per call.
+// The one-shot free functions tile_spgemm() / spgemm_tile() (tile_spgemm.h)
+// run a Request on a transient context.
 //
 // Thread safety: a context is a single-caller object (like a cuSPARSE or
-// KokkosKernels handle). Concurrent run() calls on one context race on the
-// pooled workspace; use one context per calling thread instead.
+// KokkosKernels handle). Concurrent try_run() calls on one context race on
+// the pooled workspace; use one context per calling thread instead.
 #pragma once
 
 #include <cstddef>
@@ -75,11 +71,46 @@
 #include "common/parallel.h"
 #include "common/status.h"
 #include "core/semiring.h"
+#include "core/simd_dispatch.h"
 #include "core/spgemm_workspace.h"
 #include "core/step3.h"
 #include "core/tile_spgemm.h"
 
 namespace tsg {
+
+/// One product for SpgemmContext::try_run: C = A * B, or A * B^T, over
+/// `Semiring`, optionally masked by M. `Matrix` is Csr<T> or TileMatrix<T>;
+/// every operand has that form, and C comes back in it. The request borrows
+/// its operands and never copies them; B and M may alias A, and an aliased
+/// operand is validated and converted once.
+///
+///     ctx.try_run(Request<Csr<double>>{&a, &a});                  // A * A
+///     ctx.try_run(Request<TileMatrix<double>>{&l, &l, &l});       // (L * L) .* L
+///     ctx.try_run(Request<TileMatrix<double>>{.a = &a, .b = &a,
+///                                             .transpose_b = true});  // A * A^T
+///     ctx.try_run(Request<TileMatrix<double>, MinPlus<double>>{&d, &d});
+template <class Matrix, class Semiring = PlusTimes<typename Matrix::value_type>>
+struct Request {
+  const Matrix* a = nullptr;
+  const Matrix* b = nullptr;
+  /// C = (A*B) .* structure(M), values from the product: entries of the
+  /// product outside M's pattern are dropped, and a tile C keeps every tile
+  /// of M, empty ones included. This is the GraphBLAS-style masked product
+  /// the graph workloads the paper motivates need (triangle counting
+  /// computes (L*L) .* L), and it composes with the tile design as a step-2
+  /// filter: M's tile layout takes the place of step 1's, so no output tile
+  /// outside M exists, and M's 16-bit row masks AND into each tile's step-2
+  /// words, so C's masks hold only the product's entries inside M and the
+  /// dense intermediate (L*L) is never materialised. Step 3 is the plain
+  /// product's: up to 16 nonzeros per tile the rank-indexed walk skips
+  /// every product outside the mask, and above that the row kernel
+  /// multiplies whole B rows and the compress drops the entries outside it
+  /// (DESIGN.md).
+  const Matrix* mask = nullptr;
+  /// Multiply by B^T, formed tile-natively after B is validated (booked in
+  /// alloc_ms); with b == a this is the artifact's `-aat 1` mode, A * A^T.
+  bool transpose_b = false;
+};
 
 class SpgemmContext {
  public:
@@ -90,8 +121,12 @@ class SpgemmContext {
   ///                           .with_threads(4)
   ///                           .with_device_mem_mb(512));
   struct Config {
-    /// Kernel options (the SIMD level) — defaults follow the paper.
-    TileSpgemmOptions options{};
+    /// Vector-ISA level of the step-2/3 kernel family. Defaults to the best
+    /// level this build and host support, or the one TSG_SIMD forces.
+    /// Levels above what is available clamp down once per run; every level
+    /// is bit-identical, and kScalar runs the per-bit reference kernels,
+    /// the oracle the others are checked against.
+    simd::Level simd = simd::active_level();
     /// Worker threads for everything a call on this context runs —
     /// validation, conversion and every step; 0 keeps the library-wide
     /// setting (set_num_threads / OMP_NUM_THREADS).
@@ -128,13 +163,8 @@ class SpgemmContext {
     /// (the service's warm workers), use SpgemmContext::set_cancel_token.
     CancelToken cancel_token;
 
-    Config& with_options(const TileSpgemmOptions& o) { options = o; return *this; }
+    Config& with_simd_level(simd::Level level) { simd = level; return *this; }
     Config& with_threads(int n) { threads = n; return *this; }
-    /// Force the step-2/3 kernel family's vector-ISA level (default: best
-    /// available, or TSG_SIMD). Levels above what the build/host supports
-    /// clamp down at run time; every level is bit-identical, and kScalar is
-    /// the reference oracle.
-    Config& with_simd_level(simd::Level level) { options.simd = level; return *this; }
     Config& with_device_mem_mb(std::size_t mb) { device_mem_mb = mb; return *this; }
     Config& with_degradation(bool on) { degrade_on_budget = on; return *this; }
     Config& with_validation(ValidationLevel level) { validation = level; return *this; }
@@ -146,9 +176,8 @@ class SpgemmContext {
     /// The one place the environment is read: TSG_DEVICE_MEM_MB (budget),
     /// TSG_NUM_THREADS (worker threads), TSG_TRACE (execution tracing),
     /// TSG_METRICS (per-tile detail metrics), and TSG_SIMD (kernel
-    /// dispatch level — also read once by simd::active_level(), the
-    /// documented exception, so kernel forcing reaches free-function entry
-    /// points that never see a Config). CLI, benches, and tests
+    /// dispatch level — read once by simd::active_level(), which the `simd`
+    /// default takes, so every context sees it). CLI, benches, and tests
     /// build on this instead of parsing getenv themselves. Any other
     /// TSG_-prefixed variable in the environment draws a one-time stderr
     /// warning (typos must not be silently ignored); the full knob table —
@@ -167,88 +196,59 @@ class SpgemmContext {
   /// the per-request route for callers that reuse one warm context across
   /// requests (SpgemmService workers). Passing a default token disarms
   /// cancellation. A cancelled or expired run returns kCancelled /
-  /// kDeadlineExceeded through try_run* with all workspace accounting
-  /// balanced, and the context stays reusable.
+  /// kDeadlineExceeded with all workspace accounting balanced, and the
+  /// context stays reusable.
   void set_cancel_token(CancelToken t) { cancel_ = std::move(t); }
   const CancelToken& cancel_token() const { return cancel_; }
 
-  /// C = A * B on tile-format operands. Timings carry the per-step
-  /// breakdown plus the cost-bin counters, the pooled-workspace footprint,
-  /// and the budget outcome (chunks / budget_limited). Anticipated
-  /// failures come back as a Status; the context stays reusable.
-  /// Throwing twin: run().
-  template <class T>
-  Expected<TileSpgemmResult<T>> try_run(const TileMatrix<T>& a, const TileMatrix<T>& b);
-
-  /// Throwing twin of try_run(): identical parameters, raises tsg::Error
-  /// carrying the same Status.
-  template <class T>
-  TileSpgemmResult<T> run(const TileMatrix<T>& a, const TileMatrix<T>& b);
-
-  /// C = A * A^T, transpose formed tile-natively (booked as alloc_ms).
-  /// Throwing twin: run_aat().
-  template <class T>
-  Expected<TileSpgemmResult<T>> try_run_aat(const TileMatrix<T>& a);
-  /// Throwing twin of try_run_aat(): identical parameters.
-  template <class T>
-  TileSpgemmResult<T> run_aat(const TileMatrix<T>& a);
-
-  /// CSR in/out: converts the operands (aliased operands convert once) and
-  /// multiplies, with step 3 writing C's CSR rows directly — bit-identical
-  /// to tile_to_csr(run(...).c). timings->convert_ms covers the input
-  /// conversion only, the Fig. 12 numerator; C's CSR assembly is booked in
-  /// alloc_ms (the offset pass) and step3_ms (the writes), so core_ms()
-  /// includes it. On failure `*timings` is untouched. Throwing twin:
-  /// run_csr().
-  template <class T>
-  Expected<Csr<T>> try_run_csr(const Csr<T>& a, const Csr<T>& b,
-                               TileSpgemmTimings* timings = nullptr);
-  /// Throwing twin of try_run_csr(): identical parameters.
-  template <class T>
-  Csr<T> run_csr(const Csr<T>& a, const Csr<T>& b, TileSpgemmTimings* timings = nullptr);
-
-  /// C = (A*B) .* structure(mask), values from the product. C keeps every
-  /// tile of M, empty ones included; its entries are the product's inside
-  /// M's pattern. Throwing twin: run_masked().
-  template <class T>
-  Expected<TileMatrix<T>> try_run_masked(const TileMatrix<T>& a, const TileMatrix<T>& b,
-                                         const TileMatrix<T>& mask);
-  /// Throwing twin of try_run_masked(): identical parameters.
-  template <class T>
-  TileMatrix<T> run_masked(const TileMatrix<T>& a, const TileMatrix<T>& b,
-                           const TileMatrix<T>& mask);
-
-  /// C = A (x) B over `Semiring` (semiring.h), tile in/out: the structure
-  /// is the structural product, and each entry reduces its products from
-  /// Semiring::identity(). The same contract and pipeline as try_run, with
-  /// step 3's pass instantiated for the semiring. Throwing form:
-  /// tile_spgemm_semiring(ctx, a, b).
-  template <class Semiring, class T>
-  Expected<TileSpgemmResult<T>> try_run_semiring(const TileMatrix<T>& a,
-                                                 const TileMatrix<T>& b) {
-    return try_run_into(a, b, RunSpec<T>{&step3_numeric<Semiring, T>});
+  /// Run one request under the contract above. The result holds C, in the
+  /// operands' form, and the run's timings: the per-step breakdown,
+  /// convert_ms for CSR operands, the cost-bin counters, the pooled
+  /// workspace footprint and the budget outcome (chunks / budget_limited).
+  template <class Matrix, class Semiring>
+  Expected<SpgemmResult<Matrix>> try_run(const Request<Matrix, Semiring>& req) {
+    return run_request(req.a, req.b, req.mask, req.transpose_b,
+                       &step3_numeric<Semiring, typename Matrix::value_type>);
   }
 
-  /// Convert through the context so the conversion cost is attributed to
-  /// the next run()'s convert_ms instead of being re-timed by callers.
+  /// C = A * B in CSR; `*timings` receives the run's timings on success.
+  /// Kept only because the end-to-end benchmark (perfbench/) calls it; new
+  /// code runs a Request.
   template <class T>
-  TileMatrix<T> to_tile(const Csr<T>& m);
+  Expected<Csr<T>> try_run_csr(const Csr<T>& a, const Csr<T>& b,
+                               TileSpgemmTimings* timings = nullptr) {
+    Expected<SpgemmResult<Csr<T>>> run = try_run(Request<Csr<T>>{&a, &b});
+    if (!run.ok()) return run.status();
+    if (timings != nullptr) *timings = run->timings;
+    return std::move(run->c);
+  }
+
+  /// C = (A * B) .* structure(mask) in tile form, without the timings.
+  /// Kept only because the end-to-end benchmark (perfbench/) calls it; new
+  /// code runs a Request.
+  template <class T>
+  Expected<TileMatrix<T>> try_run_masked(const TileMatrix<T>& a, const TileMatrix<T>& b,
+                                         const TileMatrix<T>& mask) {
+    Expected<TileSpgemmResult<T>> run = try_run(Request<TileMatrix<T>>{&a, &b, &mask});
+    if (!run.ok()) return run.status();
+    return std::move(run->c);
+  }
 
   /// Pooled scratch bytes currently held (both value types). Stops growing
   /// once the workload's steady-state shapes have been seen.
   std::size_t workspace_bytes() const { return ws_d_.bytes() + ws_f_.bytes(); }
 
   /// Drop all pooled buffers (e.g. between workloads of very different
-  /// scale). The next run() re-grows them.
+  /// scale). The next run re-grows them.
   void release_workspaces() {
     ws_d_.release();
     ws_f_.release();
   }
 
  private:
-  /// Applies Config::threads, when set, for its lifetime. Every public
-  /// entry point opens one first, so validation, conversion and all steps
-  /// run on the configured count; nested scopes restore what they found.
+  /// Applies Config::threads, when set, for its lifetime. try_run opens one
+  /// first, so validation, conversion and all steps run on the configured
+  /// count; nested scopes restore what they found.
   class ThreadScope {
    public:
     explicit ThreadScope(const SpgemmContext& ctx) {
@@ -259,15 +259,18 @@ class SpgemmContext {
     std::optional<ThreadCountGuard> guard_;
   };
 
-  /// What a call computes besides C = A*B into a tile C: step 3's numeric
-  /// pass (the semiring), a masked product's M (its tiles become C's, and
-  /// step 2 ANDs its row masks into C's), and a CSR caller's C, which step
-  /// 3 then writes instead of result.c.
+  /// A request once the contract has been applied, as the pipeline takes
+  /// it: tile-form operands (converted and transposed as asked), step 3's
+  /// pass for the semiring, the dispatch level resolved once for the run,
+  /// and a CSR caller's C, which step 3 then writes instead of result.c.
   template <class T>
-  struct RunSpec {
-    Step3Fn<T> numeric = &step3_numeric<PlusTimes<T>, T>;
-    const TileMatrix<T>* mask = nullptr;
-    Csr<T>* csr = nullptr;
+  struct TileRun {
+    const TileMatrix<T>& a;
+    const TileMatrix<T>& b;
+    const TileMatrix<T>* mask;
+    Step3Fn<T> numeric;
+    simd::Level level;
+    Csr<T>* csr;
   };
 
   /// Raise kCancelled/kDeadlineExceeded when the active token tripped —
@@ -288,25 +291,25 @@ class SpgemmContext {
                           const TileStructure& structure, SpgemmWorkspace<T>& ws,
                           TileSpgemmTimings& tm);
 
-  /// Every entry point's contract (threads, validation of A, B and M,
-  /// Status conversion) around run_impl.
-  template <class T>
-  Expected<TileSpgemmResult<T>> try_run_into(const TileMatrix<T>& a, const TileMatrix<T>& b,
-                                             const RunSpec<T>& spec);
+  /// try_run's contract, steps 1-5, for a request's operands and its
+  /// semiring's numeric pass.
+  template <class Matrix>
+  Expected<SpgemmResult<Matrix>> run_request(const Matrix* a, const Matrix* b,
+                                             const Matrix* mask, bool transpose_b,
+                                             Step3Fn<typename Matrix::value_type> numeric);
 
   /// The pipeline body shared by single-shot and chunked execution; throws
-  /// (bad_alloc, Error) rather than returning a Status — try_run_into
-  /// converts. C lands in `*spec.csr` when it is set (result.c stays
-  /// empty), in result.c otherwise.
+  /// (bad_alloc, Error) rather than returning a Status — run_request
+  /// converts. C lands in `*run.csr` when it is set (result.c stays empty),
+  /// in result.c otherwise.
   template <class T>
-  TileSpgemmResult<T> run_impl(const TileMatrix<T>& a, const TileMatrix<T>& b,
-                               const RunSpec<T>& spec);
+  TileSpgemmResult<T> run_impl(const TileRun<T>& run);
 
   /// Chunked degradation: executes steps 2-3 tile-row range by range and
   /// stitches the ranges into `result.c`, or appends their CSR rows to
-  /// `*spec.csr` (bit-identical to single-shot either way).
+  /// `*run.csr` (bit-identical to single-shot either way).
   template <class T>
-  void run_chunked(const TileMatrix<T>& a, const TileMatrix<T>& b, const RunSpec<T>& spec,
+  void run_chunked(const TileRun<T>& run,
                    const std::vector<std::pair<index_t, index_t>>& chunks,
                    SpgemmWorkspace<T>& ws, TileSpgemmResult<T>& result);
 
@@ -314,7 +317,6 @@ class SpgemmContext {
   CancelToken cancel_;
   SpgemmWorkspace<double> ws_d_;
   SpgemmWorkspace<float> ws_f_;
-  double pending_convert_ms_ = 0.0;
 };
 
 template <>
@@ -326,45 +328,15 @@ inline SpgemmWorkspace<float>& SpgemmContext::workspace<float>() {
   return ws_f_;
 }
 
-extern template Expected<TileSpgemmResult<double>> SpgemmContext::try_run(
-    const TileMatrix<double>&, const TileMatrix<double>&);
-extern template Expected<TileSpgemmResult<float>> SpgemmContext::try_run(
-    const TileMatrix<float>&, const TileMatrix<float>&);
-extern template TileSpgemmResult<double> SpgemmContext::run(const TileMatrix<double>&,
-                                                            const TileMatrix<double>&);
-extern template TileSpgemmResult<float> SpgemmContext::run(const TileMatrix<float>&,
-                                                           const TileMatrix<float>&);
-extern template Expected<TileSpgemmResult<double>> SpgemmContext::try_run_aat(
-    const TileMatrix<double>&);
-extern template Expected<TileSpgemmResult<float>> SpgemmContext::try_run_aat(
-    const TileMatrix<float>&);
-extern template TileSpgemmResult<double> SpgemmContext::run_aat(const TileMatrix<double>&);
-extern template TileSpgemmResult<float> SpgemmContext::run_aat(const TileMatrix<float>&);
-extern template Expected<Csr<double>> SpgemmContext::try_run_csr(const Csr<double>&,
-                                                                 const Csr<double>&,
-                                                                 TileSpgemmTimings*);
-extern template Expected<Csr<float>> SpgemmContext::try_run_csr(const Csr<float>&,
-                                                                const Csr<float>&,
-                                                                TileSpgemmTimings*);
-extern template Csr<double> SpgemmContext::run_csr(const Csr<double>&, const Csr<double>&,
-                                                   TileSpgemmTimings*);
-extern template Csr<float> SpgemmContext::run_csr(const Csr<float>&, const Csr<float>&,
-                                                  TileSpgemmTimings*);
-extern template Expected<TileMatrix<double>> SpgemmContext::try_run_masked(
-    const TileMatrix<double>&, const TileMatrix<double>&, const TileMatrix<double>&);
-extern template Expected<TileMatrix<float>> SpgemmContext::try_run_masked(
-    const TileMatrix<float>&, const TileMatrix<float>&, const TileMatrix<float>&);
-extern template TileMatrix<double> SpgemmContext::run_masked(const TileMatrix<double>&,
-                                                             const TileMatrix<double>&,
-                                                             const TileMatrix<double>&);
-extern template TileMatrix<float> SpgemmContext::run_masked(const TileMatrix<float>&,
-                                                            const TileMatrix<float>&,
-                                                            const TileMatrix<float>&);
-extern template TileMatrix<double> SpgemmContext::to_tile(const Csr<double>&);
-extern template TileMatrix<float> SpgemmContext::to_tile(const Csr<float>&);
-extern template Expected<TileSpgemmResult<double>> SpgemmContext::try_run_into(
-    const TileMatrix<double>&, const TileMatrix<double>&, const RunSpec<double>&);
-extern template Expected<TileSpgemmResult<float>> SpgemmContext::try_run_into(
-    const TileMatrix<float>&, const TileMatrix<float>&, const RunSpec<float>&);
+extern template Expected<SpgemmResult<Csr<double>>> SpgemmContext::run_request(
+    const Csr<double>*, const Csr<double>*, const Csr<double>*, bool, Step3Fn<double>);
+extern template Expected<SpgemmResult<Csr<float>>> SpgemmContext::run_request(
+    const Csr<float>*, const Csr<float>*, const Csr<float>*, bool, Step3Fn<float>);
+extern template Expected<SpgemmResult<TileMatrix<double>>> SpgemmContext::run_request(
+    const TileMatrix<double>*, const TileMatrix<double>*, const TileMatrix<double>*, bool,
+    Step3Fn<double>);
+extern template Expected<SpgemmResult<TileMatrix<float>>> SpgemmContext::run_request(
+    const TileMatrix<float>*, const TileMatrix<float>*, const TileMatrix<float>*, bool,
+    Step3Fn<float>);
 
 }  // namespace tsg

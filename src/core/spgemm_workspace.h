@@ -12,7 +12,7 @@
 // launch; on the CPU the repeated malloc/free of these buffers dominates the
 // iterated workloads (AMG Galerkin chains, Markov clustering).
 // SpgemmWorkspace owns all of them with capacity-preserving reuse: a
-// SpgemmContext keeps one instance per value type and every run() clears
+// SpgemmContext keeps one instance per value type and every run clears
 // sizes but keeps capacity, so steady-state iterations allocate (almost)
 // only the output matrix.
 //

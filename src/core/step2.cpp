@@ -102,7 +102,7 @@ void merge_words(std::uint64_t cm[kTileMaskWords], const rowmask_t* gather,
 template <class T>
 Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
                            const TileLayoutCsc& b_csc, const TileStructure& structure,
-                           const TileSpgemmOptions& options, SpgemmWorkspace<T>& ws,
+                           simd::Level level, SpgemmWorkspace<T>& ws,
                            const ExecutionPlan& plan) {
   const offset_t ntiles = structure.num_tiles();
   Step2Result out;
@@ -113,11 +113,10 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
   ws.ensure_threads(max_workers());
   ws.reset_row_index(a.tile_cols);
 
-  // Kernel dispatch, resolved once per call (never per tile). The SWAR
-  // kernel stays inline — its per-pair loop is too hot for an indirect
-  // call — so the table is only consulted at the AVX levels.
-  const simd::Level lvl = effective_simd_level(options);
-  if (lvl == simd::Level::kScalar) {
+  // Kernel dispatch on the run's level, once per call (never per tile).
+  // The SWAR kernel stays inline — its per-pair loop is too hot for an
+  // indirect call — so the table is only consulted at the AVX levels.
+  if (level == simd::Level::kScalar) {
     // Reference path, one nonzero at a time: the A/B oracle and the
     // regression bench's speedup denominator.
     symbolic_tiles(a, b_csc, structure, ws, plan, out,
@@ -139,7 +138,7 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
                      }
                      return count;
                    });
-  } else if (lvl == simd::Level::kSwar) {
+  } else if (level == simd::Level::kSwar) {
     // Word-packed, hybrid per A tile (Algorithm 2 lines 19-25, Figure 5):
     // hyper-sparse tiles keep the per-nonzero gather; denser ones take the
     // column form, which visits each occupied column c of A once and ORs
@@ -207,7 +206,7 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
   } else {
     // AVX levels: the same hybrid with the table's vector OR and its
     // derivation, which writes the tile's slice directly with two stores.
-    const simd::SymbolicOps& vec = simd::symbolic_ops(lvl);
+    const simd::SymbolicOps& vec = simd::symbolic_ops(level);
     symbolic_tiles(a, b_csc, structure, ws, plan, out,
                    [&](const std::vector<MatchedPair>& pairs, const rowmask_t* allow,
                        std::uint8_t* row_ptr_out, rowmask_t* mask_out) {
@@ -236,11 +235,11 @@ Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
 
 template Step2Result step2_symbolic(const TileMatrix<double>&, const TileMatrix<double>&,
                                     const TileLayoutCsc&, const TileStructure&,
-                                    const TileSpgemmOptions&, SpgemmWorkspace<double>&,
+                                    simd::Level, SpgemmWorkspace<double>&,
                                     const ExecutionPlan&);
 template Step2Result step2_symbolic(const TileMatrix<float>&, const TileMatrix<float>&,
                                     const TileLayoutCsc&, const TileStructure&,
-                                    const TileSpgemmOptions&, SpgemmWorkspace<float>&,
+                                    simd::Level, SpgemmWorkspace<float>&,
                                     const ExecutionPlan&);
 
 }  // namespace tsg

@@ -14,7 +14,7 @@
 
 #include <cstdint>
 
-#include "core/options.h"
+#include "core/simd_dispatch.h"
 #include "core/step1.h"
 
 namespace tsg {
@@ -40,20 +40,21 @@ struct Step2Result {
 /// pointers. `b_csc` is the column-major view of B's tile layout
 /// (tileColPtr_B / tileRowidx_B in Algorithm 2). `ws` supplies the
 /// per-thread intersection scratch and the occupancy words; `plan` sets the
-/// visit order and the mask.
+/// visit order and the mask. `level` is the dispatch level the run resolved
+/// (simd::clamp_to_available of Config::simd), never re-resolved per tile.
 template <class T>
 Step2Result step2_symbolic(const TileMatrix<T>& a, const TileMatrix<T>& b,
                            const TileLayoutCsc& b_csc, const TileStructure& structure,
-                           const TileSpgemmOptions& options, SpgemmWorkspace<T>& ws,
+                           simd::Level level, SpgemmWorkspace<T>& ws,
                            const ExecutionPlan& plan);
 
 extern template Step2Result step2_symbolic(const TileMatrix<double>&, const TileMatrix<double>&,
                                            const TileLayoutCsc&, const TileStructure&,
-                                           const TileSpgemmOptions&, SpgemmWorkspace<double>&,
+                                           simd::Level, SpgemmWorkspace<double>&,
                                            const ExecutionPlan&);
 extern template Step2Result step2_symbolic(const TileMatrix<float>&, const TileMatrix<float>&,
                                            const TileLayoutCsc&, const TileStructure&,
-                                           const TileSpgemmOptions&, SpgemmWorkspace<float>&,
+                                           simd::Level, SpgemmWorkspace<float>&,
                                            const ExecutionPlan&);
 
 }  // namespace tsg

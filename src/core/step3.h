@@ -13,7 +13,7 @@
 // structure: exactly PlusTimes<T> accumulates as above, and any other
 // semiring takes the rank-indexed walk with its identity/combine/reduce at
 // every tile size. step3.cpp instantiates the plus-times pass for double
-// and float; SpgemmContext::try_run_semiring instantiates the others from
+// and float; SpgemmContext::try_run instantiates the others from
 // this body. The pipeline picks one pass per call (Step3Fn), never per
 // tile.
 //
@@ -58,7 +58,7 @@ struct Step3Output {
 template <class Semiring, class T>
 void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
                    const TileLayoutCsc& b_csc, const TileStructure& structure,
-                   const TileSpgemmOptions& options, const Step2Result& symbolic,
+                   simd::Level level, const Step2Result& symbolic,
                    SpgemmWorkspace<T>& ws, const ExecutionPlan& plan,
                    const Step3Output<T>& out) {
   const offset_t ntiles = structure.num_tiles();
@@ -67,10 +67,10 @@ void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
 
   TileMatrix<T>* const tile_out = out.tile;
   Csr<T>* const csr_out = out.csr;
-  // Numeric kernel table, resolved once per call. Materialize is safe to
+  // Numeric kernel table of the run's dispatch level. Materialize is safe to
   // aim at C's shared arrays at every level (exact-store contract); the
   // dense compress only ever targets the local `slots` scratch.
-  const simd::NumericOps& nops = simd::numeric_ops(effective_simd_level(options));
+  const simd::NumericOps& nops = simd::numeric_ops(level);
   // Only a masked product has products outside C's masks for the walk to
   // skip.
   const bool masked = plan.mask != nullptr;
@@ -170,16 +170,16 @@ void step3_numeric(const TileMatrix<T>& a, const TileMatrix<T>& b,
 /// chosen per call.
 template <class T>
 using Step3Fn = void (*)(const TileMatrix<T>&, const TileMatrix<T>&, const TileLayoutCsc&,
-                         const TileStructure&, const TileSpgemmOptions&, const Step2Result&,
+                         const TileStructure&, simd::Level, const Step2Result&,
                          SpgemmWorkspace<T>&, const ExecutionPlan&, const Step3Output<T>&);
 
 extern template void step3_numeric<PlusTimes<double>>(
     const TileMatrix<double>&, const TileMatrix<double>&, const TileLayoutCsc&,
-    const TileStructure&, const TileSpgemmOptions&, const Step2Result&,
+    const TileStructure&, simd::Level, const Step2Result&,
     SpgemmWorkspace<double>&, const ExecutionPlan&, const Step3Output<double>&);
 extern template void step3_numeric<PlusTimes<float>>(
     const TileMatrix<float>&, const TileMatrix<float>&, const TileLayoutCsc&,
-    const TileStructure&, const TileSpgemmOptions&, const Step2Result&,
+    const TileStructure&, simd::Level, const Step2Result&,
     SpgemmWorkspace<float>&, const ExecutionPlan&, const Step3Output<float>&);
 
 }  // namespace tsg

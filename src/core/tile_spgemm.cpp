@@ -1,47 +1,29 @@
 #include "core/tile_spgemm.h"
 
+#include <utility>
+
 #include "core/spgemm_context.h"
 
 namespace tsg {
 
-// The free functions are thin compatibility wrappers: each call spins up a
-// transient SpgemmContext, so one-shot callers keep the old signatures
-// while iterated workloads migrate to a long-lived context and get the
-// pooled-workspace reuse.
+// The one-shot forms: each call runs one Request on a transient context,
+// so iterated workloads hold a context instead and reuse its pooled
+// workspaces.
 
 template <class T>
-TileSpgemmResult<T> tile_spgemm(const TileMatrix<T>& a, const TileMatrix<T>& b,
-                                const TileSpgemmOptions& options) {
-  SpgemmContext ctx(SpgemmContext::Config{}.with_options(options));
-  return ctx.run(a, b);
+TileSpgemmResult<T> tile_spgemm(const TileMatrix<T>& a, const TileMatrix<T>& b) {
+  return SpgemmContext{}.try_run(Request<TileMatrix<T>>{&a, &b}).value();
 }
 
 template <class T>
-Csr<T> spgemm_tile(const Csr<T>& a, const Csr<T>& b, const TileSpgemmOptions& options,
-                   TileSpgemmTimings* timings) {
-  SpgemmContext ctx(SpgemmContext::Config{}.with_options(options));
-  return ctx.run_csr(a, b, timings);
-}
-
-template <class T>
-TileSpgemmResult<T> tile_spgemm_aat(const TileMatrix<T>& a, const TileSpgemmOptions& options) {
-  SpgemmContext ctx(SpgemmContext::Config{}.with_options(options));
-  return ctx.run_aat(a);
+Csr<T> spgemm_tile(const Csr<T>& a, const Csr<T>& b) {
+  return SpgemmContext{}.try_run(Request<Csr<T>>{&a, &b}).value().c;
 }
 
 template TileSpgemmResult<double> tile_spgemm(const TileMatrix<double>&,
-                                              const TileMatrix<double>&,
-                                              const TileSpgemmOptions&);
-template TileSpgemmResult<float> tile_spgemm(const TileMatrix<float>&,
-                                             const TileMatrix<float>&,
-                                             const TileSpgemmOptions&);
-template Csr<double> spgemm_tile(const Csr<double>&, const Csr<double>&,
-                                 const TileSpgemmOptions&, TileSpgemmTimings*);
-template Csr<float> spgemm_tile(const Csr<float>&, const Csr<float>&,
-                                const TileSpgemmOptions&, TileSpgemmTimings*);
-template TileSpgemmResult<double> tile_spgemm_aat(const TileMatrix<double>&,
-                                                  const TileSpgemmOptions&);
-template TileSpgemmResult<float> tile_spgemm_aat(const TileMatrix<float>&,
-                                                 const TileSpgemmOptions&);
+                                              const TileMatrix<double>&);
+template TileSpgemmResult<float> tile_spgemm(const TileMatrix<float>&, const TileMatrix<float>&);
+template Csr<double> spgemm_tile(const Csr<double>&, const Csr<double>&);
+template Csr<float> spgemm_tile(const Csr<float>&, const Csr<float>&);
 
 }  // namespace tsg

@@ -6,14 +6,15 @@
 //   3. numeric phase: a dispatched B-row multiply-add into a dense tile
 //
 // Public entry points:
-//   * SpgemmContext  — the execution engine (spgemm_context.h): pooled
-//                      workspaces, cost-binned scheduling, reusable across
-//                      calls. Preferred for iterated workloads.
-//   * tile_spgemm()  — tile-format in/out through a transient context, with
-//                      per-step timings (Fig. 10)
-//   * spgemm_tile()  — CSR convenience wrapper (converts the operands,
-//                      multiplies, step 3 writing C's CSR rows), the drop-in
-//                      comparator used by the benches and tests
+//   * SpgemmContext::try_run(Request) — the execution engine
+//                      (spgemm_context.h): every product (plain, A*B^T,
+//                      masked, any semiring) on CSR or tile operands, with
+//                      pooled workspaces reused across calls and failures
+//                      returned as a Status.
+//   * tile_spgemm()  — one-shot C = A*B on tile operands through a
+//                      transient context, with per-step timings (Fig. 10)
+//   * spgemm_tile()  — one-shot C = A*B in CSR, the drop-in comparator used
+//                      by the benches and tests
 #pragma once
 
 #include <array>
@@ -80,45 +81,34 @@ struct TileSpgemmTimings {
   double total_ms() const { return core_ms() + convert_ms; }
 };
 
-template <class T>
-struct TileSpgemmResult {
-  TileMatrix<T> c;
+/// C and the timings of the run that made it. `Matrix` is the operands'
+/// form, Csr<T> or TileMatrix<T>: C comes back in it.
+template <class Matrix>
+struct SpgemmResult {
+  Matrix c;
   TileSpgemmTimings timings;
 };
 
-/// The tiled SpGEMM on tile-format operands (transient SpgemmContext).
 template <class T>
-TileSpgemmResult<T> tile_spgemm(const TileMatrix<T>& a, const TileMatrix<T>& b,
-                                const TileSpgemmOptions& options = {});
+using TileSpgemmResult = SpgemmResult<TileMatrix<T>>;
 
-/// CSR-to-CSR convenience wrapper. Operand conversion time is *not* part of
-/// the algorithm (the paper assumes operands already live in tile format,
-/// Section 4.6) but is reported in `timings->convert_ms`; C itself is
-/// written straight into CSR by step 3. Pass `timings` to retrieve the
-/// per-step breakdown.
+/// C = A * B on tile-format operands through a transient SpgemmContext;
+/// throws tsg::Error carrying the Status on failure.
 template <class T>
-Csr<T> spgemm_tile(const Csr<T>& a, const Csr<T>& b, const TileSpgemmOptions& options = {},
-                   TileSpgemmTimings* timings = nullptr);
+TileSpgemmResult<T> tile_spgemm(const TileMatrix<T>& a, const TileMatrix<T>& b);
 
-/// C = A * A^T entirely in tile format (the artifact's `-aat 1` mode): the
-/// transpose is formed tile-natively, so the chain never touches CSR.
+/// C = A * B in CSR through a transient SpgemmContext: the operands are
+/// converted, and step 3 writes C's CSR rows directly. Throws tsg::Error
+/// carrying the Status on failure. For the timings (conversion included,
+/// in convert_ms), run a CSR Request on a context.
 template <class T>
-TileSpgemmResult<T> tile_spgemm_aat(const TileMatrix<T>& a,
-                                    const TileSpgemmOptions& options = {});
+Csr<T> spgemm_tile(const Csr<T>& a, const Csr<T>& b);
 
 extern template TileSpgemmResult<double> tile_spgemm(const TileMatrix<double>&,
-                                                     const TileMatrix<double>&,
-                                                     const TileSpgemmOptions&);
+                                                     const TileMatrix<double>&);
 extern template TileSpgemmResult<float> tile_spgemm(const TileMatrix<float>&,
-                                                    const TileMatrix<float>&,
-                                                    const TileSpgemmOptions&);
-extern template Csr<double> spgemm_tile(const Csr<double>&, const Csr<double>&,
-                                        const TileSpgemmOptions&, TileSpgemmTimings*);
-extern template Csr<float> spgemm_tile(const Csr<float>&, const Csr<float>&,
-                                       const TileSpgemmOptions&, TileSpgemmTimings*);
-extern template TileSpgemmResult<double> tile_spgemm_aat(const TileMatrix<double>&,
-                                                         const TileSpgemmOptions&);
-extern template TileSpgemmResult<float> tile_spgemm_aat(const TileMatrix<float>&,
-                                                        const TileSpgemmOptions&);
+                                                    const TileMatrix<float>&);
+extern template Csr<double> spgemm_tile(const Csr<double>&, const Csr<double>&);
+extern template Csr<float> spgemm_tile(const Csr<float>&, const Csr<float>&);
 
 }  // namespace tsg

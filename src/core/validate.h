@@ -117,7 +117,7 @@ Status validate_tile_operand(const TileMatrix<T>& m, const char* name, Validatio
   return Status{};
 }
 
-/// Grade-`level` check of a CSR operand (try_run_csr boundary).
+/// Grade-`level` check of a CSR operand (a CSR request at the context boundary).
 template <class T>
 Status validate_csr_operand(const Csr<T>& m, const char* name, ValidationLevel level,
                             NanPolicy nan_policy) {

@@ -64,11 +64,13 @@ tracked_vector<double> apsp_min_plus(const Csr<double>& weights) {
     }
   }
 
-  // Repeated squaring: D_{2k} = D_k (min.+) D_k, log2(n) rounds.
+  // Repeated squaring: D_{2k} = D_k (min.+) D_k, log2(n) rounds through
+  // one context, so every round after the first reuses its workspaces.
   TileMatrix<double> td = csr_to_tile(d);
   const int rounds = n > 1 ? static_cast<int>(std::ceil(std::log2(n))) : 0;
+  SpgemmContext ctx;
   for (int r = 0; r < rounds; ++r) {
-    td = tile_spgemm_semiring<MinPlus<double>>(td, td);
+    td = ctx.try_run(Request<TileMatrix<double>, MinPlus<double>>{&td, &td}).value().c;
   }
   const Csr<double> closure = tile_to_csr(td);
 

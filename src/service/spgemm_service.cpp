@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <new>
 #include <string>
 #include <utility>
 
@@ -424,28 +423,14 @@ void SpgemmService::process(SpgemmContext& ctx, WorkerSlot& slot, Pending&& item
       // chunk and step 1/2/3 tile boundaries stop a cancelled or expired
       // run with balanced workspace accounting (the context stays warm).
       ctx.set_cancel_token(item.state->cancel.token());
-      TileSpgemmTimings timings;
-      // try_run_csr returns a Status for everything the context models, but
-      // a tracked allocation can still throw bad_alloc (e.g. the tile
-      // conversion itself over budget). Nothing may escape the worker
-      // thread — that would terminate the whole service — so anything
-      // thrown lands in this request's future as a structured Status.
-      Expected<Csr<double>> product = [&]() -> Expected<Csr<double>> {
-        try {
-          return ctx.try_run_csr(a, b, &timings);
-        } catch (const Error& e) {
-          return e.status();
-        } catch (const std::bad_alloc&) {
-          return Status::allocation_failed(
-              "service worker: workspace allocation failed (over the device budget "
-              "before the planner could intervene)");
-        } catch (const std::exception& e) {
-          return Status::allocation_failed(std::string("service worker: ") + e.what());
-        }
-      }();
+      // try_run returns every failure as a Status, a tracked allocation
+      // that throws included: nothing may escape the worker thread, which
+      // would terminate the whole service.
+      Expected<SpgemmResult<Csr<double>>> product = ctx.try_run(Request<Csr<double>>{&a, &b});
       if (product.ok()) {
         SpgemmRunReport report;
-        report.c = std::move(*product);
+        const TileSpgemmTimings& timings = product->timings;
+        report.c = std::move(product->c);
         report.core_ms = timings.core_ms();
         // Process-wide high-water mark: with concurrent workers this is the
         // service's peak, not this request's (documented on SpgemmRunReport).

@@ -8,6 +8,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/esc.h"
@@ -25,6 +26,8 @@
 
 namespace tsg {
 namespace {
+
+using TileRequest = Request<TileMatrix<double>>;
 
 class BudgetEnvironment : public ::testing::Environment {
  public:
@@ -104,14 +107,14 @@ TEST(DeviceBudget, ChunkedExecutionIsBitIdenticalToSingleShot) {
 
   // Gold: a budget generous enough for single-shot execution.
   SpgemmContext roomy(SpgemmContext::Config{}.with_device_mem_mb(4096));
-  const TileSpgemmResult<double> gold = roomy.run(ta, ta);
+  const TileSpgemmResult<double> gold = roomy.try_run(TileRequest{&ta, &ta}).value();
   EXPECT_EQ(gold.timings.chunks, 1);
   EXPECT_FALSE(gold.timings.budget_limited);
 
   // Squeezed: same multiply under 2 MB must degrade to >= 2 chunks and
   // still stitch the exact same output, bit for bit.
   SpgemmContext squeezed(SpgemmContext::Config{}.with_device_mem_mb(2));
-  Expected<TileSpgemmResult<double>> run = squeezed.try_run(ta, ta);
+  Expected<TileSpgemmResult<double>> run = squeezed.try_run(TileRequest{&ta, &ta});
   ASSERT_TRUE(run.ok()) << run.status().to_string();
   EXPECT_TRUE(run->timings.budget_limited);
   EXPECT_GE(run->timings.chunks, 2);
@@ -119,7 +122,7 @@ TEST(DeviceBudget, ChunkedExecutionIsBitIdenticalToSingleShot) {
 
   // The pooled workspace survives chunked calls: a second squeezed run on
   // the same context must agree too.
-  Expected<TileSpgemmResult<double>> again = squeezed.try_run(ta, ta);
+  Expected<TileSpgemmResult<double>> again = squeezed.try_run(TileRequest{&ta, &ta});
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->timings.chunks, run->timings.chunks);
   expect_tile_bit_identical(gold.c, again->c);
@@ -157,19 +160,18 @@ TEST(DeviceBudget, ChunkingIsEquivalentAcrossTheGeneratorSuite) {
     // The budget is process-wide and set when a context is built, so each
     // context runs everything it needs before the next one is built.
     SpgemmContext roomy(SpgemmContext::Config{}.with_device_mem_mb(4096));
-    const TileSpgemmResult<double> gold = roomy.run(ta, tb);
-    const Csr<double> gold_csr = roomy.run_csr(p.a, p.b);
+    const TileSpgemmResult<double> gold = roomy.try_run(TileRequest{&ta, &tb}).value();
+    const Csr<double> gold_csr = roomy.try_run(Request<Csr<double>>{&p.a, &p.b}).value().c;
     SpgemmContext squeezed(SpgemmContext::Config{}.with_device_mem_mb(2));
-    Expected<TileSpgemmResult<double>> run = squeezed.try_run(ta, tb);
+    Expected<TileSpgemmResult<double>> run = squeezed.try_run(TileRequest{&ta, &tb});
     ASSERT_TRUE(run.ok()) << run.status().to_string();
     if (run->timings.budget_limited) ++chunked_cases;
     expect_tile_bit_identical(gold.c, run->c);
 
-    TileSpgemmTimings tm;
-    Expected<Csr<double>> csr = squeezed.try_run_csr(p.a, p.b, &tm);
+    Expected<SpgemmResult<Csr<double>>> csr = squeezed.try_run(Request<Csr<double>>{&p.a, &p.b});
     ASSERT_TRUE(csr.ok()) << csr.status().to_string();
-    if (tm.chunks >= 2) ++chunked_csr_cases;
-    test::expect_csr_bytes_equal(gold_csr, *csr, "starved csr");
+    if (csr->timings.chunks >= 2) ++chunked_csr_cases;
+    test::expect_csr_bytes_equal(gold_csr, csr->c, "starved csr");
   }
   EXPECT_GT(chunked_cases, 0) << "2 MB starved no case at all";
   EXPECT_GT(chunked_csr_cases, 0) << "2 MB starved no CSR case at all";
@@ -182,24 +184,24 @@ TEST(DeviceBudget, DegradationDisabledReturnsBudgetExceeded) {
 
   SpgemmContext ctx(
       SpgemmContext::Config{}.with_device_mem_mb(2).with_degradation(false));
-  Expected<TileSpgemmResult<double>> run = ctx.try_run(ta, ta);
+  Expected<TileSpgemmResult<double>> run = ctx.try_run(TileRequest{&ta, &ta});
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kBudgetExceeded);
-  // The throwing wrapper carries the identical Status.
+  // .value() throws tsg::Error carrying the identical Status.
   try {
-    (void)ctx.run(ta, ta);
-    FAIL() << "run() should throw under a too-small budget with degradation off";
+    (void)std::move(run).value();
+    FAIL() << "value() should throw under a too-small budget with degradation off";
   } catch (const Error& e) {
     EXPECT_EQ(e.status().code(), StatusCode::kBudgetExceeded);
   }
 
   // Masked (M = A's own pattern) and min-plus products plan the same budget.
-  Expected<TileMatrix<double>> masked = ctx.try_run_masked(ta, ta, ta);
-  ASSERT_FALSE(masked.ok());
-  EXPECT_EQ(masked.status().code(), StatusCode::kBudgetExceeded);
-  Expected<TileSpgemmResult<double>> min_plus = ctx.try_run_semiring<MinPlus<double>>(ta, ta);
-  ASSERT_FALSE(min_plus.ok());
-  EXPECT_EQ(min_plus.status().code(), StatusCode::kBudgetExceeded);
+  EXPECT_EQ(ctx.try_run(TileRequest{&ta, &ta, &ta}).status().code(),
+            StatusCode::kBudgetExceeded);
+  EXPECT_EQ(ctx.try_run(Request<TileMatrix<double>, MinPlus<double>>{&ta, &ta}).status().code(),
+            StatusCode::kBudgetExceeded);
+  // So do the wrappers the end-to-end benchmark calls.
+  EXPECT_EQ(ctx.try_run_masked(ta, ta, ta).status().code(), StatusCode::kBudgetExceeded);
   try {
     (void)tile_spgemm_semiring<MinPlus<double>>(ctx, ta, ta);
     FAIL() << "tile_spgemm_semiring should throw under a too-small budget with degradation off";
@@ -217,11 +219,11 @@ TEST(DeviceBudget, SpgemmTileDegradesUnderTheEnvironmentBudget) {
   const TileMatrix<double> ta = csr_to_tile(a);
 
   SpgemmContext roomy(SpgemmContext::Config{}.with_device_mem_mb(4096));
-  const TileMatrix<double> gold = roomy.run(ta, ta).c;
+  const TileMatrix<double> gold = roomy.try_run(TileRequest{&ta, &ta}).value().c;
   set_device_memory_budget_bytes(0);  // back to the 1 MB environment latch
 
   SpgemmContext tight;  // from_env: budget 1 MB
-  const TileSpgemmResult<double> res = tight.run(ta, ta);
+  const TileSpgemmResult<double> res = tight.try_run(TileRequest{&ta, &ta}).value();
   EXPECT_TRUE(res.timings.budget_limited);
   EXPECT_GE(res.timings.chunks, 2);
   expect_tile_bit_identical(gold, res.c);

@@ -40,8 +40,13 @@ void expect_bit_identical(const TileMatrix<double>& x, const TileMatrix<double>&
 /// One multiply through `ctx`: the tile-layout C, or the call's Status.
 using Multiply = std::function<Expected<TileMatrix<double>>(SpgemmContext&)>;
 
-/// The C of a try_run-shaped call, or its Status.
-Expected<TileMatrix<double>> product_of(Expected<TileSpgemmResult<double>> run) {
+using TileRequest = Request<TileMatrix<double>>;
+
+/// The C of a tile request, or its Status.
+template <class Semiring>
+Expected<TileMatrix<double>> product_of(SpgemmContext& ctx,
+                                        const Request<TileMatrix<double>, Semiring>& req) {
+  Expected<TileSpgemmResult<double>> run = ctx.try_run(req);
   if (!run.ok()) return run.status();
   return std::move(run->c);
 }
@@ -106,12 +111,12 @@ TEST(FaultInjection, EveryAllocationSiteSurfacesAsStatus) {
   // Plain, masked (M = A's own pattern) and min-plus products all run the
   // one pipeline, so each must unwind every site the same way.
   const TileMatrix<double> ta = csr_to_tile(test::make_rmat_small());
-  sweep_allocation_sites("plain",
-                         [&](SpgemmContext& ctx) { return product_of(ctx.try_run(ta, ta)); });
-  sweep_allocation_sites("masked",
-                         [&](SpgemmContext& ctx) { return ctx.try_run_masked(ta, ta, ta); });
+  sweep_allocation_sites(
+      "plain", [&](SpgemmContext& ctx) { return product_of(ctx, TileRequest{&ta, &ta}); });
+  sweep_allocation_sites(
+      "masked", [&](SpgemmContext& ctx) { return product_of(ctx, TileRequest{&ta, &ta, &ta}); });
   sweep_allocation_sites("min-plus", [&](SpgemmContext& ctx) {
-    return product_of(ctx.try_run_semiring<MinPlus<double>>(ta, ta));
+    return product_of(ctx, Request<TileMatrix<double>, MinPlus<double>>{&ta, &ta});
   });
 }
 
@@ -123,7 +128,7 @@ TEST(FaultInjection, EveryCsrRunAllocationSiteSurfacesAsStatus) {
   const Csr<double> a = test::make_er_small();
 
   SpgemmContext golden_ctx(config());
-  const Csr<double> golden = golden_ctx.run_csr(a, a);
+  const Csr<double> golden = golden_ctx.try_run(Request<Csr<double>>{&a, &a}).value().c;
   auto expect_csr_identical = [&](const Csr<double>& got) {
     ASSERT_EQ(golden.row_ptr, got.row_ptr);
     ASSERT_EQ(golden.col_idx, got.col_idx);
@@ -138,7 +143,7 @@ TEST(FaultInjection, EveryCsrRunAllocationSiteSurfacesAsStatus) {
     plan.fail_at = ~std::uint64_t{0};
     FaultInjectionScope scope(plan);
     SpgemmContext ctx(config());
-    ASSERT_TRUE(ctx.try_run_csr(a, a).ok());
+    ASSERT_TRUE(ctx.try_run(Request<Csr<double>>{&a, &a}).ok());
     total = MemoryTracker::instance().tracked_allocs();
   }
   ASSERT_GT(total, 0u);
@@ -148,22 +153,22 @@ TEST(FaultInjection, EveryCsrRunAllocationSiteSurfacesAsStatus) {
     SpgemmContext ctx(config());
     FaultPlan plan;
     plan.fail_at = n;
-    Expected<Csr<double>> result = [&] {
+    Expected<SpgemmResult<Csr<double>>> result = [&] {
       FaultInjectionScope faults(plan);
-      return ctx.try_run_csr(a, a);
+      return ctx.try_run(Request<Csr<double>>{&a, &a});
     }();
 
     if (result.ok()) {
-      expect_csr_identical(*result);
+      expect_csr_identical(result->c);
       continue;
     }
     ++injected_failures;
     EXPECT_EQ(result.status().code(), StatusCode::kAllocationFailed)
         << "site " << n << ": " << result.status().to_string();
     // Injection cleared: the same context completes the multiply, exactly.
-    Expected<Csr<double>> retry = ctx.try_run_csr(a, a);
+    Expected<SpgemmResult<Csr<double>>> retry = ctx.try_run(Request<Csr<double>>{&a, &a});
     ASSERT_TRUE(retry.ok()) << "context not reusable after injected fault at site " << n;
-    expect_csr_identical(*retry);
+    expect_csr_identical(retry->c);
   }
   EXPECT_GT(injected_failures, 0u);
 }
@@ -178,7 +183,7 @@ TEST(FaultInjection, TrackerBalancedAfterInjectedFailure) {
     FaultPlan plan;
     plan.fail_at = 5;
     FaultInjectionScope scope(plan);
-    Expected<TileSpgemmResult<double>> result = ctx.try_run(ta, ta);
+    Expected<TileSpgemmResult<double>> result = ctx.try_run(TileRequest{&ta, &ta});
     EXPECT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kAllocationFailed);
     EXPECT_GE(MemoryTracker::instance().injected_faults(), 1u);
@@ -196,7 +201,7 @@ TEST(FaultInjection, WatermarkBoundsLiveFootprint) {
   FaultPlan plan;
   plan.byte_watermark = 1024;
   FaultInjectionScope scope(plan);
-  Expected<TileSpgemmResult<double>> result = ctx.try_run(ta, ta);
+  Expected<TileSpgemmResult<double>> result = ctx.try_run(TileRequest{&ta, &ta});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kAllocationFailed);
 }
@@ -211,7 +216,7 @@ TEST(FaultInjection, SeededRateIsDeterministic) {
     plan.fail_rate = 0.05;
     plan.seed = seed;
     FaultInjectionScope scope(plan);
-    const bool ok = ctx.try_run(ta, ta).ok();
+    const bool ok = ctx.try_run(TileRequest{&ta, &ta}).ok();
     return std::make_pair(ok, MemoryTracker::instance().injected_faults());
   };
   // Same seed, same verdict stream (single-threaded): identical outcome.
@@ -229,18 +234,18 @@ TEST(FaultInjection, MaskedAndCsrPathsSurfaceStatusToo) {
   plan.fail_at = 3;
   {
     FaultInjectionScope scope(plan);
-    Expected<TileMatrix<double>> masked = ctx.try_run_masked(ta, ta, ta);
+    Expected<TileSpgemmResult<double>> masked = ctx.try_run(TileRequest{&ta, &ta, &ta});
     ASSERT_FALSE(masked.ok());
     EXPECT_EQ(masked.status().code(), StatusCode::kAllocationFailed);
   }
   {
     FaultInjectionScope scope(plan);
-    Expected<Csr<double>> csr = ctx.try_run_csr(a, a);
+    Expected<SpgemmResult<Csr<double>>> csr = ctx.try_run(Request<Csr<double>>{&a, &a});
     ASSERT_FALSE(csr.ok());
     EXPECT_EQ(csr.status().code(), StatusCode::kAllocationFailed);
   }
   // Both failures behind us: the context still multiplies.
-  EXPECT_TRUE(ctx.try_run(ta, ta).ok());
+  EXPECT_TRUE(ctx.try_run(TileRequest{&ta, &ta}).ok());
 }
 
 }  // namespace

@@ -14,13 +14,12 @@
 
 #include "common/memory.h"
 #include "common/random.h"
-#include "core/semiring_spgemm.h"
+#include "core/semiring.h"
 #include "core/spgemm_context.h"
 #include "core/tile_convert.h"
 #include "core/tile_spgemm.h"
 #include "gen/generators.h"
 #include "matrix/convert.h"
-#include "obs/metrics.h"
 #include "test_support.h"
 
 namespace tsg {
@@ -125,21 +124,25 @@ MaskShape mask_shape(const TileMatrix<double>& masked, const TileMatrix<double>&
   return shape;
 }
 
+using TileRequest = Request<TileMatrix<double>>;
+using MinPlusRequest = Request<TileMatrix<double>, MinPlus<double>>;
+
 /// The plain, masked (by `mask`) and min-plus products of A with itself.
 struct Products {
-  TileMatrix<double> plain, masked, min_plus;
+  TileSpgemmResult<double> plain, masked, min_plus;
 };
 
 Products products_of(SpgemmContext& ctx, const TileMatrix<double>& a,
                      const TileMatrix<double>& mask) {
-  return {ctx.run(a, a).c, ctx.run_masked(a, a, mask),
-          tile_spgemm_semiring<MinPlus<double>>(ctx, a, a)};
+  return {ctx.try_run(TileRequest{&a, &a}).value(),
+          ctx.try_run(TileRequest{&a, &a, &mask}).value(),
+          ctx.try_run(MinPlusRequest{&a, &a}).value()};
 }
 
 void expect_products_identical(const Products& x, const Products& y, const std::string& context) {
-  expect_tiles_identical(x.plain, y.plain, context + " plain");
-  expect_tiles_identical(x.masked, y.masked, context + " masked");
-  expect_tiles_identical(x.min_plus, y.min_plus, context + " min-plus");
+  expect_tiles_identical(x.plain.c, y.plain.c, context + " plain");
+  expect_tiles_identical(x.masked.c, y.masked.c, context + " masked");
+  expect_tiles_identical(x.min_plus.c, y.min_plus.c, context + " min-plus");
 }
 
 // ---------------------------------------- default level vs scalar oracle --
@@ -157,7 +160,8 @@ TEST_P(SymbolicAb, DefaultLevelMatchesScalarBitExact) {
   const TileMatrix<double> ta = csr_to_tile(a);
   SpgemmContext scalar(scalar_config());
   SpgemmContext dflt;
-  expect_tiles_identical(scalar.run(ta, ta).c, dflt.run(ta, ta).c,
+  expect_tiles_identical(scalar.try_run(TileRequest{&ta, &ta}).value().c,
+                         dflt.try_run(TileRequest{&ta, &ta}).value().c,
                          "seed " + std::to_string(GetParam()));
 }
 
@@ -184,7 +188,7 @@ TEST(SymbolicAb, StructureClassesMatchBitExact) {
     const TileMatrix<double> m = csr_to_tile(mc.mask);
     const Products want = products_of(scalar, t, m);
     expect_products_identical(want, products_of(dflt, t, m), mc.name);
-    const MaskShape shape = mask_shape(want.masked, want.plain);
+    const MaskShape shape = mask_shape(want.masked.c, want.plain.c);
     covered.empty += shape.empty;
     covered.cut_above_16 += shape.cut_above_16;
   }
@@ -217,9 +221,6 @@ TEST(ChunkedAb, FuzzStaysBitExact) {
   }
   for (MaskedCase& mc : masked_cases()) cases.push_back(std::move(mc));
 
-  // A masked call returns only C, so its chunking shows in the degraded-run
-  // counter; the semiring call's timings show their own.
-  const obs::Counter& degraded = obs::MetricsRegistry::instance().counter("spgemm.runs.degraded");
   int chunked_masked = 0;
   int chunked_min_plus = 0;
   for (const MaskedCase& mc : cases) {
@@ -230,14 +231,9 @@ TEST(ChunkedAb, FuzzStaysBitExact) {
     SpgemmContext roomy(SpgemmContext::Config{}.with_device_mem_mb(4096));
     const Products gold = products_of(roomy, t, m);
     SpgemmContext squeezed(SpgemmContext::Config{}.with_device_mem_mb(1));
-    Products got{squeezed.run(t, t).c, {}, {}};
-    const std::int64_t degraded_plain = degraded.value();
-    got.masked = squeezed.run_masked(t, t, m);
-    if (degraded.value() > degraded_plain) ++chunked_masked;
-    Expected<TileSpgemmResult<double>> min_plus = squeezed.try_run_semiring<MinPlus<double>>(t, t);
-    ASSERT_TRUE(min_plus.ok()) << mc.name << ": " << min_plus.status().to_string();
-    if (min_plus->timings.chunks >= 2) ++chunked_min_plus;
-    got.min_plus = std::move(min_plus->c);
+    const Products got = products_of(squeezed, t, m);
+    if (got.masked.timings.chunks >= 2) ++chunked_masked;
+    if (got.min_plus.timings.chunks >= 2) ++chunked_min_plus;
     expect_products_identical(gold, got, mc.name);
   }
   EXPECT_GT(chunked_masked, 0) << "1 MB chunked no masked case";

@@ -131,7 +131,7 @@ TEST(DiscardedStatus, FiresOnBareTryCall) {
   const auto diags = run("a.cpp", R"(
     void f() {
       try_reserve(buf, n);
-      ctx.try_run(a, b, &c);
+      ctx.try_run(request);
     }
   )");
   EXPECT_EQ(count_rule(diags, "discarded-status"), 2);
@@ -142,7 +142,7 @@ TEST(DiscardedStatus, CleanWhenResultIsConsumed) {
     tsg::Status g() {
       auto st = try_reserve(buf, n);
       if (!try_convert(m).ok()) return fail();
-      return try_run(a, b, &c);
+      return try_run(request);
     }
   )");
   EXPECT_EQ(count_rule(diags, "discarded-status"), 0);

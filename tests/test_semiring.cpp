@@ -2,7 +2,6 @@
 // brute-force semiring products.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <limits>
 #include <utility>
 
@@ -38,6 +37,13 @@ void dense_semiring_product(const Csr<double>& a, const Csr<double>& b,
   }
 }
 
+/// C = A (x) B over S, CSR in and out.
+template <class S>
+Csr<double> semiring_product(const Csr<double>& a, const Csr<double>& b) {
+  SpgemmContext ctx;
+  return ctx.try_run(Request<Csr<double>, S>{&a, &b}).value().c;
+}
+
 template <class S>
 void check_semiring(const Csr<double>& a, const Csr<double>& b, const char* what) {
   SCOPED_TRACE(what);
@@ -45,7 +51,7 @@ void check_semiring(const Csr<double>& a, const Csr<double>& b, const char* what
   std::vector<bool> present;
   dense_semiring_product<S>(a, b, expected, present);
 
-  const Csr<double> c = spgemm_semiring<S>(a, b);
+  const Csr<double> c = semiring_product<S>(a, b);
   ASSERT_TRUE(c.validate().empty()) << c.validate();
 
   // Every stored entry matches; every present entry is stored.
@@ -66,7 +72,7 @@ void check_semiring(const Csr<double>& a, const Csr<double>& b, const char* what
 
 TEST(Semiring, PlusTimesMatchesOrdinarySpgemm) {
   const Csr<double> a = gen::erdos_renyi(90, 90, 600, 1);
-  test::expect_equal(spgemm_reference(a, a), spgemm_semiring<PlusTimes<double>>(a, a),
+  test::expect_equal(spgemm_reference(a, a), semiring_product<PlusTimes<double>>(a, a),
                      "plus-times");
 }
 
@@ -95,40 +101,9 @@ TEST(Semiring, MaxTimes) {
   check_semiring<MaxTimes<double>>(a, a, "max-times");
 }
 
-/// Plus-times that records, from inside the numeric pass, the largest
-/// worker rank and worker bound it ran under.
-struct WorkerRecordingPlusTimes {
-  static inline std::atomic<int> max_rank{0};
-  static inline std::atomic<int> max_bound{0};
-  static void raise(std::atomic<int>& seen, int v) {
-    int cur = seen.load(std::memory_order_relaxed);
-    while (v > cur && !seen.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
-  static double identity() { return 0.0; }
-  static double combine(double a, double b) {
-    raise(max_rank, worker_rank());
-    raise(max_bound, max_workers());
-    return a * b;
-  }
-  static double reduce(double a, double b) { return a + b; }
-};
-
-TEST(Semiring, ContextThreadCountReachesTheSemiringPass) {
-  // A context configured for one thread runs the whole semiring multiply
-  // on one thread, even in a process set to four.
-  const ThreadCountGuard process(4);
-  const TileMatrix<double> t = csr_to_tile(gen::erdos_renyi(1200, 1200, 12000, 77));
-  SpgemmContext ctx(SpgemmContext::Config{}.with_threads(1));
-  (void)tile_spgemm_semiring<WorkerRecordingPlusTimes>(ctx, t, t);
-  EXPECT_EQ(WorkerRecordingPlusTimes::max_rank.load(), 0);
-  EXPECT_EQ(WorkerRecordingPlusTimes::max_bound.load(), 1);
-  EXPECT_EQ(num_threads(), 4) << "the context must restore the process setting";
-}
-
 TEST(Semiring, ContextValidationRefusesANanOperand) {
-  // The context's ValidationLevel / NanPolicy reach the semiring pass as
-  // they reach try_run: a NaN operand is refused before step 1, whether it
+  // The context's ValidationLevel / NanPolicy reach a semiring request as
+  // they reach a plain one: a NaN operand is refused before step 1, whether it
   // is A (with B aliased to it) or only B.
   Csr<double> bad = gen::erdos_renyi(200, 200, 2000, 78);
   bad.val[bad.val.size() / 2] = std::numeric_limits<double>::quiet_NaN();
@@ -139,16 +114,13 @@ TEST(Semiring, ContextValidationRefusesANanOperand) {
                            .with_nan_policy(NanPolicy::kReject));
   const std::pair<const TileMatrix<double>*, const TileMatrix<double>*> operands[] = {
       {&t_bad, &t_bad}, {&t_ok, &t_bad}};
+  using MinPlusRequest = Request<TileMatrix<double>, MinPlus<double>>;
   for (const auto& [a, b] : operands) {
-    try {
-      (void)tile_spgemm_semiring<MinPlus<double>>(strict, *a, *b);
-      ADD_FAILURE() << "a NaN operand must be refused";
-    } catch (const Error& e) {
-      EXPECT_EQ(e.code(), StatusCode::kInvalidArgument) << e.status().to_string();
-    }
+    const Status s = strict.try_run(MinPlusRequest{a, b}).status();
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.to_string();
   }
   // Clean operands still multiply on the same context.
-  EXPECT_GT(tile_spgemm_semiring<MinPlus<double>>(strict, t_ok, t_ok).nnz(), 0);
+  EXPECT_GT(strict.try_run(MinPlusRequest{&t_ok, &t_ok}).value().c.nnz(), 0);
 }
 
 TEST(Semiring, SpmvMinPlusRelaxation) {

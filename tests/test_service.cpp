@@ -44,8 +44,7 @@ using std::chrono::milliseconds;
 
 // --- submit/try_submit twin-pairing contract (compile-time) ---------------
 // The service's submission twins share one parameter list by construction;
-// this deduction-based check pins them the same way the run*/try_run* pairs
-// are pinned in test_spgemm_context.cpp (the return shapes differ — the
+// this deduction-based check pins them (the return shapes differ — the
 // blocking twin folds rejection into the future — so only the parameter
 // lists are matched).
 template <class C, class R1, class R2, class... Args>
@@ -61,6 +60,11 @@ static_assert(same_params(&SpgemmService::submit, &SpgemmService::try_submit));
 struct BudgetOverrideGuard {
   ~BudgetOverrideGuard() { set_device_memory_budget_bytes(0); }
 };
+
+/// C = A * B through `ctx`: the direct run a service result must match.
+Csr<double> direct_product(SpgemmContext& ctx, const Csr<double>& a, const Csr<double>& b) {
+  return ctx.try_run(Request<Csr<double>>{&a, &b}).value().c;
+}
 
 std::shared_ptr<const Csr<double>> shared(Csr<double> m) {
   return std::make_shared<const Csr<double>>(std::move(m));
@@ -172,24 +176,23 @@ TEST(Admission, AliasedOperandMatchesExplicitSquare) {
   const FootprintEstimate copied = service::estimate_footprint(a, b);
   EXPECT_EQ(aliased.tile_pairs, copied.tile_pairs);
   EXPECT_EQ(aliased.c_tiles, copied.c_tiles);
-  // Aliased operands are charged once (try_run_csr converts them once); a
+  // Aliased operands are charged once (a CSR request converts them once); a
   // distinct-but-equal B pays its own CSR bytes on top.
   EXPECT_EQ(copied.bytes, aliased.bytes + b.bytes());
 }
 
 TEST(Admission, EstimateBoundsTheMeasuredPeakOfTheRun) {
   // Soundness of admission: the estimate must bound what the run it admits
-  // really holds, the tracked peak of try_run_csr on a fresh context whose
+  // really holds, the tracked peak of a CSR request on a fresh context whose
   // budget is roomy enough that it never chunks.
   BudgetOverrideGuard guard;
   const auto check = [](const Csr<double>& a, const Csr<double>& b, const std::string& what) {
     const std::size_t estimate = service::estimate_footprint(a, b).bytes;
     const PeakMemoryScope peak;
     SpgemmContext ctx(SpgemmContext::Config{}.with_device_mem_mb(4096));
-    TileSpgemmTimings timings;
-    Expected<Csr<double>> c = ctx.try_run_csr(a, b, &timings);
+    Expected<SpgemmResult<Csr<double>>> c = ctx.try_run(Request<Csr<double>>{&a, &b});
     ASSERT_TRUE(c.ok()) << what << ": " << c.status().to_string();
-    ASSERT_EQ(timings.chunks, 1) << what;
+    ASSERT_EQ(c->timings.chunks, 1) << what;
     EXPECT_GE(estimate, static_cast<std::size_t>(peak.peak_bytes())) << what;
   };
   const test::GenCase squares[] = {
@@ -216,8 +219,8 @@ TEST(Service, ResultsBitIdenticalToDirectRun) {
   const auto a = shared(test::make_er_small());
   const auto b = shared(test::make_stencil());
   SpgemmContext direct;
-  const Csr<double> want_aa = direct.run_csr(*a, *a);
-  const Csr<double> want_bb = direct.run_csr(*b, *b);
+  const Csr<double> want_aa = direct_product(direct, *a, *a);
+  const Csr<double> want_bb = direct_product(direct, *b, *b);
 
   SpgemmService svc(SpgemmService::Config{}.with_workers(2));
   std::future<SpgemmRunReport> faa = svc.submit({a});  // null b: C = A*A
@@ -291,7 +294,7 @@ TEST(Service, SaturatedQueueReturnsQueueFullNotAHang) {
 TEST(Service, DrainShutdownCompletesEveryPendingFuture) {
   const auto a = shared(test::make_stencil());
   SpgemmContext direct;
-  const Csr<double> want = direct.run_csr(*a, *a);
+  const Csr<double> want = direct_product(direct, *a, *a);
 
   SpgemmService svc(SpgemmService::Config{}.with_workers(0).with_queue_capacity(8));
   std::vector<std::future<SpgemmRunReport>> futures;
@@ -366,7 +369,7 @@ TEST(Service, DegradedAdmissionRunsChunkedAndBitIdentical) {
   // Gold first, under the default (roomy) budget.
   const auto big = shared(gen::rmat(10, 8.0, 11));
   SpgemmContext direct;
-  const Csr<double> want = direct.run_csr(*big, *big);
+  const Csr<double> want = direct_product(direct, *big, *big);
 
   BudgetOverrideGuard guard;
   SpgemmService svc(SpgemmService::Config{}.with_workers(1).with_device_mem_mb(2));
@@ -385,7 +388,7 @@ TEST(Service, WorkerBudgetExceededPoisonsOnlyItsOwnFuture) {
   const auto big = shared(gen::rmat(10, 8.0, 11));
   const auto small = shared(test::make_er_small());
   SpgemmContext direct;
-  const Csr<double> want_small = direct.run_csr(*small, *small);
+  const Csr<double> want_small = direct_product(direct, *small, *small);
 
   // Shadow-mode admission (observe-only) with context degradation off: the
   // big request sails through admission and the *context's* authoritative
@@ -482,7 +485,7 @@ TEST(Service, ExpiredDeadlineEvictedAtPopNeverRun) {
 TEST(Service, TicketCancelPoisonsQueuedRequestOnly) {
   const auto a = shared(test::make_er_small());
   SpgemmContext direct;
-  const Csr<double> want = direct.run_csr(*a, *a);
+  const Csr<double> want = direct_product(direct, *a, *a);
 
   SpgemmService svc(SpgemmService::Config{}.with_workers(0).with_queue_capacity(4));
   Expected<Ticket> doomed = svc.try_submit({a});
@@ -499,7 +502,7 @@ TEST(Service, TicketCancelPoisonsQueuedRequestOnly) {
 TEST(Service, MidRunCancellationIsLeakFreeAndContextReusable) {
   const auto a = shared(test::make_er_small());
   SpgemmContext direct;
-  const Csr<double> want = direct.run_csr(*a, *a);
+  const Csr<double> want = direct_product(direct, *a, *a);
 
   // Chaos holds the popped request for 100 ms before it runs; the cancel
   // lands inside that window, so the engine sees an already-tripped token
@@ -531,7 +534,7 @@ TEST(Service, MidRunCancellationIsLeakFreeAndContextReusable) {
 TEST(Service, MidRunDeadlineStopsCooperatively) {
   const auto a = shared(test::make_er_small());
   SpgemmContext direct;
-  const Csr<double> want = direct.run_csr(*a, *a);
+  const Csr<double> want = direct_product(direct, *a, *a);
 
   // 100 ms of injected pop latency against a 30 ms deadline: the deadline
   // expires while the request is already owned by a worker, so the *engine*
@@ -561,7 +564,7 @@ TEST(Service, MidRunDeadlineStopsCooperatively) {
 TEST(Service, RetryAfterTransientFaultIsBitIdentical) {
   const auto a = shared(test::make_stencil());
   SpgemmContext direct;
-  const Csr<double> want = direct.run_csr(*a, *a);
+  const Csr<double> want = direct_product(direct, *a, *a);
 
   const obs::MetricsSnapshot before = obs::MetricsRegistry::instance().snapshot();
   // fail_at = 1: the first tracked allocation after arming throws, every
@@ -605,7 +608,7 @@ TEST(Service, RetryBudgetExhaustedFailsFast) {
 TEST(Service, WatchdogReplacesStuckWorkerAndPoisonsOnlyItsRequest) {
   const auto a = shared(test::make_er_small());
   SpgemmContext direct;
-  const Csr<double> want = direct.run_csr(*a, *a);
+  const Csr<double> want = direct_product(direct, *a, *a);
 
   const obs::MetricsSnapshot before = obs::MetricsRegistry::instance().snapshot();
   // The chaos pop-latency wedges the worker for 400 ms with its request
@@ -748,8 +751,8 @@ TEST(Service, ConcurrentSubmittersAndWorkers) {
   const auto a = shared(test::make_er_small());
   const auto b = shared(test::make_stencil());
   SpgemmContext direct;
-  const Csr<double> want_a = direct.run_csr(*a, *a);
-  const Csr<double> want_b = direct.run_csr(*b, *b);
+  const Csr<double> want_a = direct_product(direct, *a, *a);
+  const Csr<double> want_b = direct_product(direct, *b, *b);
 
   SpgemmService svc(
       SpgemmService::Config{}.with_workers(3).with_queue_capacity(8).with_batch_max(4));

@@ -464,9 +464,15 @@ Csr<double> fuzz_matrix(std::uint64_t seed) {
 template <class T>
 void expect_csr_run_matches(SpgemmContext& ctx, const Csr<T>& a, const Csr<T>& b,
                             const TileMatrix<T>& tile_c, const std::string& context) {
-  Expected<Csr<T>> got = ctx.try_run_csr(a, b);
+  Expected<SpgemmResult<Csr<T>>> got = ctx.try_run(Request<Csr<T>>{&a, &b});
   ASSERT_TRUE(got.ok()) << context << ": " << got.status().to_string();
-  test::expect_csr_bytes_equal(tile_to_csr(tile_c), *got, context + " csr");
+  test::expect_csr_bytes_equal(tile_to_csr(tile_c), got->c, context + " csr");
+}
+
+/// C = A * B in tile form through `ctx`.
+template <class T>
+TileSpgemmResult<T> tile_run(SpgemmContext& ctx, const TileMatrix<T>& a, const TileMatrix<T>& b) {
+  return ctx.try_run(Request<TileMatrix<T>>{&a, &b}).value();
 }
 
 class ForcedLevelAb : public ::testing::TestWithParam<int> {};
@@ -475,12 +481,12 @@ TEST_P(ForcedLevelAb, EveryLevelMatchesScalarEndToEnd) {
   const Csr<double> a = fuzz_matrix(static_cast<std::uint64_t>(GetParam()) + 7000);
   const TileMatrix<double> t = csr_to_tile(a);
   SpgemmContext scalar(SpgemmContext::Config{}.with_simd_level(simd::Level::kScalar));
-  const TileMatrix<double> gold = scalar.run(t, t).c;
+  const TileMatrix<double> gold = tile_run(scalar, t, t).c;
   for (const simd::Level level : available_levels()) {
     SpgemmContext forced(SpgemmContext::Config{}.with_simd_level(level));
     const std::string what =
         std::string(simd::level_name(level)) + " seed " + std::to_string(GetParam());
-    const TileMatrix<double> got = forced.run(t, t).c;
+    const TileMatrix<double> got = tile_run(forced, t, t).c;
     expect_tiles_identical(gold, got, what);
     expect_csr_run_matches(forced, a, a, got, what);
   }
@@ -492,10 +498,10 @@ TEST(ForcedLevelAb, FloatPipelineMatchesScalarEndToEnd) {
   const Csr<float> a = gen::cast_values<float>(gen::dense_blocks(10, 16, 4212));
   const TileMatrix<float> t = csr_to_tile(a);
   SpgemmContext scalar(SpgemmContext::Config{}.with_simd_level(simd::Level::kScalar));
-  const TileMatrix<float> gold = scalar.run(t, t).c;
+  const TileMatrix<float> gold = tile_run(scalar, t, t).c;
   for (const simd::Level level : available_levels()) {
     SpgemmContext forced(SpgemmContext::Config{}.with_simd_level(level));
-    const TileMatrix<float> got = forced.run(t, t).c;
+    const TileMatrix<float> got = tile_run(forced, t, t).c;
     expect_tiles_identical(gold, got, simd::level_name(level));
     expect_csr_run_matches(forced, a, a, got, simd::level_name(level));
   }
@@ -512,19 +518,20 @@ TEST(ForcedLevelAb, RectangularAndEmptyProductsMatchThroughCsr) {
     const TileMatrix<double> ta = csr_to_tile(a);
     const TileMatrix<double> tb = csr_to_tile(b);
     SpgemmContext scalar(SpgemmContext::Config{}.with_simd_level(simd::Level::kScalar));
-    const TileMatrix<double> gold = scalar.run(ta, tb).c;
+    const TileMatrix<double> gold = tile_run(scalar, ta, tb).c;
     const std::string shape = std::to_string(a.rows) + "x" + std::to_string(b.cols);
     for (const simd::Level level : available_levels()) {
       SpgemmContext forced(SpgemmContext::Config{}.with_simd_level(level));
       const std::string what = shape + " " + simd::level_name(level);
-      const TileMatrix<double> got = forced.run(ta, tb).c;
+      const TileMatrix<double> got = tile_run(forced, ta, tb).c;
       expect_tiles_identical(gold, got, what);
       expect_csr_run_matches(forced, a, b, got, what);
     }
   }
   SpgemmContext ctx;
-  const Csr<double> empty =
-      ctx.run_csr(test::make_empty_product_lhs(), test::make_empty_product_rhs());
+  const Csr<double> lhs = test::make_empty_product_lhs();
+  const Csr<double> rhs = test::make_empty_product_rhs();
+  const Csr<double> empty = ctx.try_run(Request<Csr<double>>{&lhs, &rhs}).value().c;
   EXPECT_EQ(empty.nnz(), 0);
   EXPECT_EQ(empty.row_ptr, tracked_vector<offset_t>(21, 0));
 }
@@ -535,13 +542,13 @@ TEST(SimdObservability, TimingsReportTheResolvedLevel) {
   const TileMatrix<double> t = csr_to_tile(gen::dense_blocks(4, 16, 11));
   for (const simd::Level level : available_levels()) {
     SpgemmContext ctx(SpgemmContext::Config{}.with_simd_level(level));
-    EXPECT_EQ(ctx.run(t, t).timings.simd_level, static_cast<int>(level))
+    EXPECT_EQ(tile_run(ctx, t, t).timings.simd_level, static_cast<int>(level))
         << simd::level_name(level);
   }
   // Requests above what the host supports clamp, and the timings report the
   // level that actually ran, not the request.
   SpgemmContext top(SpgemmContext::Config{}.with_simd_level(simd::Level::kAvx512));
-  EXPECT_EQ(top.run(t, t).timings.simd_level,
+  EXPECT_EQ(tile_run(top, t, t).timings.simd_level,
             static_cast<int>(simd::clamp_to_available(simd::Level::kAvx512)));
 }
 

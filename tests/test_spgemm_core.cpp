@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "core/masked_spgemm.h"
+#include "core/spgemm_context.h"
 #include "core/step1.h"
 #include "core/tile_convert.h"
 #include "core/tile_spgemm.h"
@@ -172,8 +172,10 @@ TEST(TileSpgemmEdge, TileToCsrSkipsEmptyTilesOfAMaskedProduct) {
     if (!std::binary_search(row_begin, row_end, c)) wide.push_back(r, c, 1.0);
   }
   const Csr<double> mask = coo_to_csr(std::move(wide));
-  const TileMatrix<double> c = tile_spgemm_masked(csr_to_tile(a), csr_to_tile(a),
-                                                  csr_to_tile(mask));
+  const TileMatrix<double> ta = csr_to_tile(a);
+  const TileMatrix<double> tm = csr_to_tile(mask);
+  const TileMatrix<double> c =
+      SpgemmContext{}.try_run(Request<TileMatrix<double>>{&ta, &ta, &tm}).value().c;
   offset_t empty = 0;
   for (offset_t t = 0; t < c.num_tiles(); ++t) empty += c.tile_nnz_of(t) == 0 ? 1 : 0;
   ASSERT_GT(empty, 0) << "the mask must keep tiles the product misses";
@@ -272,8 +274,8 @@ TEST(TileSpgemmSteps, Step1KeepsExactlyTheNonEmptyTiles) {
 
 TEST(TileSpgemmSteps, TimingsArePopulated) {
   const Csr<double> a = gen::banded(800, 12, 114);
-  TileSpgemmTimings tm;
-  (void)spgemm_tile(a, a, {}, &tm);
+  const TileSpgemmTimings tm =
+      SpgemmContext{}.try_run(Request<Csr<double>>{&a, &a}).value().timings;
   EXPECT_GT(tm.total_ms(), 0.0);
   EXPECT_GE(tm.step1_ms, 0.0);
   EXPECT_GE(tm.step2_ms, 0.0);

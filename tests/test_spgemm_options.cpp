@@ -1,7 +1,7 @@
-// The algorithm's tunables: every option setting must give bit-identical
-// structure and tolerance-identical values — they are performance choices,
-// not semantics. The intersection routines must return exactly the same
-// matched pairs in the same order.
+// The engine's kernel knob: every Config::simd level must give the
+// reference product — levels are performance choices, not semantics. The
+// intersection routines must return exactly the same matched pairs in the
+// same order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,9 +9,9 @@
 
 #include "common/random.h"
 #include "core/intersect.h"
+#include "core/spgemm_context.h"
 #include "core/spgemm_workspace.h"
 #include "core/tile_convert.h"
-#include "core/tile_spgemm.h"
 #include "gen/generators.h"
 #include "test_support.h"
 
@@ -20,18 +20,21 @@ namespace {
 
 struct OptionsCase {
   const char* name;
-  TileSpgemmOptions options;
+  SpgemmContext::Config config;
 };
 
 class OptionsSweep : public ::testing::TestWithParam<OptionsCase> {};
 
 TEST_P(OptionsSweep, AllConfigurationsMatchReference) {
-  const TileSpgemmOptions& opt = GetParam().options;
+  SpgemmContext ctx(GetParam().config);
   for (auto make : {test::make_er_small, test::make_band_wide, test::make_blocks,
                     test::make_rmat_small, test::make_blocks_large}) {
     const Csr<double> a = make();
     test::check_against_reference(
-        a, a, [&](const Csr<double>& x, const Csr<double>& y) { return spgemm_tile(x, y, opt); },
+        a, a,
+        [&](const Csr<double>& x, const Csr<double>& y) {
+          return ctx.try_run(Request<Csr<double>>{&x, &y}).value().c;
+        },
         GetParam().name);
   }
 }
@@ -39,9 +42,7 @@ TEST_P(OptionsSweep, AllConfigurationsMatchReference) {
 std::vector<OptionsCase> option_grid() {
   std::vector<OptionsCase> grid;
   grid.push_back({"defaults", {}});
-  TileSpgemmOptions o;
-  o.simd = simd::Level::kScalar;
-  grid.push_back({"scalar", o});
+  grid.push_back({"scalar", SpgemmContext::Config{}.with_simd_level(simd::Level::kScalar)});
   return grid;
 }
 

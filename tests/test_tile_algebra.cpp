@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "core/masked_spgemm.h"
+#include "core/spgemm_context.h"
 #include "core/tile_add.h"
 #include "core/tile_spgemm.h"
 #include "core/tile_spmv.h"
@@ -82,7 +82,8 @@ TEST_P(TileAlgebra, MaskedProductIsRestrictionOfFullProduct) {
   // masked result never exceeds M's pattern.
   const Csr<double> m = gen::erdos_renyi(120, 120, 400, GetParam() + 500);
   const TileMatrix<double> tm = csr_to_tile(m);
-  const Csr<double> masked = tile_to_csr(tile_spgemm_masked(ta_, tb_, tm));
+  const Csr<double> masked = tile_to_csr(
+      SpgemmContext{}.try_run(Request<TileMatrix<double>>{&ta_, &tb_, &tm}).value().c);
   const Csr<double> full = tile_to_csr(tile_spgemm(ta_, tb_).c);
   const Csr<double> expected = structural_mask(full, m);
   test::expect_equal(expected, masked, "masked = restricted product");

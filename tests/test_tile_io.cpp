@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/spgemm_context.h"
 #include "core/tile_io.h"
 #include "core/tile_spgemm.h"
 #include "gen/generators.h"
@@ -94,10 +95,17 @@ TEST(TileIo, MissingFileThrows) {
 
 // ---------------------------------------------------------------- AA^T --
 
+/// C = A * A^T, the transpose formed tile-natively.
+TileSpgemmResult<double> aat(const TileMatrix<double>& a) {
+  return SpgemmContext{}
+      .try_run(Request<TileMatrix<double>>{.a = &a, .b = &a, .transpose_b = true})
+      .value();
+}
+
 TEST(TileAat, MatchesCsrTransposePath) {
   for (std::uint64_t seed : {10ull, 11ull, 12ull}) {
     const Csr<double> a = gen::erdos_renyi(130, 90, 900, seed);
-    const TileSpgemmResult<double> res = tile_spgemm_aat(csr_to_tile(a));
+    const TileSpgemmResult<double> res = aat(csr_to_tile(a));
     ASSERT_TRUE(res.c.validate().empty()) << res.c.validate();
     const Csr<double> expected = spgemm_reference(a, transpose(a));
     test::expect_equal(expected, tile_to_csr(res.c), "aat");
@@ -106,7 +114,7 @@ TEST(TileAat, MatchesCsrTransposePath) {
 
 TEST(TileAat, ResultIsSymmetricForSquareInput) {
   const Csr<double> a = gen::rmat(8, 4.0, 13);
-  const TileSpgemmResult<double> res = tile_spgemm_aat(csr_to_tile(a));
+  const TileSpgemmResult<double> res = aat(csr_to_tile(a));
   const Csr<double> c = tile_to_csr(res.c);
   test::expect_equal(c, transpose(c), "aat symmetry");
 }

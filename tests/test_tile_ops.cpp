@@ -5,7 +5,7 @@
 #include "baselines/auto_select.h"
 #include "baselines/reference.h"
 #include "common/random.h"
-#include "core/masked_spgemm.h"
+#include "core/spgemm_context.h"
 #include "core/tile_add.h"
 #include "core/tile_convert.h"
 #include "core/tile_spmm.h"
@@ -111,6 +111,11 @@ TEST(TileAdd, ShapeMismatchThrows) {
 
 // --------------------------------------------------------- masked SpGEMM --
 
+/// C = (A * B) .* structure(M), CSR in and out.
+Csr<double> masked_product(const Csr<double>& a, const Csr<double>& b, const Csr<double>& m) {
+  return SpgemmContext{}.try_run(Request<Csr<double>>{&a, &b, &m}).value().c;
+}
+
 class MaskedSpgemmSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MaskedSpgemmSweep, EqualsHadamardOfFullProduct) {
@@ -119,7 +124,7 @@ TEST_P(MaskedSpgemmSweep, EqualsHadamardOfFullProduct) {
   const Csr<double> m = gen::erdos_renyi(120, 120, 500, seed + 31);
   const Csr<double> full = spgemm_reference(a, a);
   const Csr<double> expected = structural_mask(full, m);
-  const Csr<double> actual = spgemm_tile_masked(a, a, m);
+  const Csr<double> actual = masked_product(a, a, m);
   test::expect_equal(expected, actual, "masked spgemm");
 }
 
@@ -132,7 +137,7 @@ TEST(MaskedSpgemm, ColumnPlusDiagonalEqualsHadamardOfFullProduct) {
   const Csr<double> a = test::make_col_diag();
   const Csr<double> m = add(a, gen::erdos_renyi(a.rows, a.cols, 3000, 33));
   const Csr<double> expected = structural_mask(spgemm_reference(a, a), m);
-  test::expect_equal(expected, spgemm_tile_masked(a, a, m), "masked column+diagonal");
+  test::expect_equal(expected, masked_product(a, a, m), "masked column+diagonal");
 }
 
 TEST(MaskedSpgemm, TriangleCountingFormulation) {
@@ -140,7 +145,7 @@ TEST(MaskedSpgemm, TriangleCountingFormulation) {
   Csr<double> g = gen::symmetrized(gen::erdos_renyi(200, 200, 1500, 41));
   for (auto& v : g.val) v = 1.0;
   const Csr<double> l = tril_strict(g);
-  const Csr<double> masked = spgemm_tile_masked(l, l, l);
+  const Csr<double> masked = masked_product(l, l, l);
   const Csr<double> expected = structural_mask(spgemm_reference(l, l), l);
   EXPECT_NEAR(value_sum(masked), value_sum(expected), 1e-9);
 }
@@ -148,7 +153,7 @@ TEST(MaskedSpgemm, TriangleCountingFormulation) {
 TEST(MaskedSpgemm, EmptyMaskGivesEmptyResult) {
   const Csr<double> a = gen::banded(60, 4, 42);
   const Csr<double> empty(60, 60);
-  EXPECT_EQ(spgemm_tile_masked(a, a, empty).nnz(), 0);
+  EXPECT_EQ(masked_product(a, a, empty).nnz(), 0);
 }
 
 TEST(MaskedSpgemm, FullMaskEqualsUnmaskedProduct) {
@@ -160,7 +165,7 @@ TEST(MaskedSpgemm, FullMaskEqualsUnmaskedProduct) {
     for (index_t j = 0; j < 70; ++j) coo.push_back(i, j, 1.0);
   }
   const Csr<double> full_mask = coo_to_csr(std::move(coo));
-  test::expect_equal(spgemm_reference(a, a), spgemm_tile_masked(a, a, full_mask),
+  test::expect_equal(spgemm_reference(a, a), masked_product(a, a, full_mask),
                      "full mask");
 }
 
@@ -168,7 +173,8 @@ TEST(MaskedSpgemm, ShapeChecks) {
   const Csr<double> a = gen::erdos_renyi(20, 30, 100, 44);
   const Csr<double> b = gen::erdos_renyi(30, 25, 100, 45);
   const Csr<double> bad_mask = gen::erdos_renyi(20, 30, 50, 46);
-  EXPECT_THROW(spgemm_tile_masked(a, b, bad_mask), tsg::Error);
+  EXPECT_EQ(SpgemmContext{}.try_run(Request<Csr<double>>{&a, &b, &bad_mask}).status().code(),
+            StatusCode::kDimensionMismatch);
 }
 
 // -------------------------------------------------------- tile transpose --

@@ -195,8 +195,8 @@ void check_discarded_status(const FileContext& file, std::vector<Diagnostic>& ou
 
     out.push_back({"discarded-status", file.path, toks[j].line,
                    "result of " + std::string(toks[j].text) +
-                       "() is discarded; check the Status/Expected or use the "
-                       "throwing twin"});
+                       "() is discarded; check the Status/Expected or call "
+                       ".value()"});
   }
 }
 
