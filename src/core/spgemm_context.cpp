@@ -651,7 +651,7 @@ Expected<SpgemmResult<Matrix>> SpgemmContext::run_request(
     SpgemmResult<Matrix> out;
     double convert_ms = 0.0;
     double transpose_ms = 0.0;
-    std::optional<TileMatrix<T>> ta, tb, tm, bt;
+    std::optional<TileMatrix<T>> ta, tb, tmask, bt;
     const TileMatrix<T>* pa = nullptr;
     const TileMatrix<T>* pb = nullptr;
     const TileMatrix<T>* pm = nullptr;
@@ -660,7 +660,7 @@ Expected<SpgemmResult<Matrix>> SpgemmContext::run_request(
       pa = &ta.emplace(csr_to_tile(*a));
       pb = b == a ? pa : &tb.emplace(csr_to_tile(*b));
       if (mask != nullptr) {
-        pm = mask == a ? pa : mask == b ? pb : &tm.emplace(csr_to_tile(*mask));
+        pm = mask == a ? pa : mask == b ? pb : &tmask.emplace(csr_to_tile(*mask));
       }
     } else {
       pa = a;
